@@ -77,20 +77,13 @@ func BenchmarkFigure2TransportTCP(b *testing.B) {
 	}
 }
 
-// ---- Ablation A1: semi-naive vs naive fixpoint ------------------------------
+// ---- Ablation A1: semi-naive fixpoint ---------------------------------------
 
 func BenchmarkAblationSeminaive(b *testing.B) {
 	for _, n := range []int{50, 100} {
 		b.Run(fmt.Sprintf("chain=%d/seminaive", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := bench.RunTC(n, false); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("chain=%d/naive", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := bench.RunTC(n, true); err != nil {
+				if _, _, err := bench.RunTC(n); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -206,48 +199,34 @@ func BenchmarkIncrementalSync(b *testing.B) {
 // ---- Incremental constraint checking ----------------------------------------
 //
 // Receiver-side flush checks are delta-seeded: the cost of checking one
-// fresh tuple must be flat across base relation sizes (incr rows), while
-// the forced-full mode recomputes the aux relations from the whole
-// database per flush and grows linearly (full rows).
+// fresh tuple must be flat across base relation sizes.
 
 func BenchmarkIncrementalConstraintCheck(b *testing.B) {
 	for _, base := range []int{1000, 10000} {
-		for _, mode := range []struct {
-			name string
-			incr bool
-		}{{"incr", true}, {"full", false}} {
-			b.Run(fmt.Sprintf("base=%d/%s", base, mode.name), func(b *testing.B) {
-				c, _, err := bench.NewIncrementalConstraints(base, mode.incr)
-				if err != nil {
+		b.Run(fmt.Sprintf("base=%d/incr", base), func(b *testing.B) {
+			c, _, err := bench.NewIncrementalConstraints(base)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Flush(); err != nil {
 					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := c.Flush(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
 func TestIncrementalConstraintCheckUsesDeltaPath(t *testing.T) {
 	const base, flushes = 2000, 8
-	incr, err := bench.RunIncrementalConstraints(base, flushes, true)
+	incr, err := bench.RunIncrementalConstraints(base, flushes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if incr.Checks.Incremental != flushes || incr.Checks.Full != 0 {
-		t.Errorf("incremental mode check stats = %+v, want %d incremental and 0 full", incr.Checks, flushes)
-	}
-	full, err := bench.RunIncrementalConstraints(base, flushes, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Checks.Full != flushes || full.Checks.Incremental != 0 {
-		t.Errorf("full mode check stats = %+v, want %d full and 0 incremental", full.Checks, flushes)
+		t.Errorf("check stats = %+v, want %d incremental and 0 full", incr.Checks, flushes)
 	}
 }
 

@@ -204,8 +204,7 @@ func runSync(kind bench.TransportKind, jsonOut, short bool) any {
 }
 
 // constraintsReport is the machine-readable shape of the constraints
-// experiment: per base size, the average per-flush check cost under the
-// delta-seeded and the forced-full checker.
+// experiment: per base size, the average per-flush check cost.
 type constraintsReport struct {
 	Experiment string                 `json:"experiment"`
 	Short      bool                   `json:"short"`
@@ -216,14 +215,12 @@ type constraintsReport struct {
 type constraintsPointJSON struct {
 	Base           int   `json:"base"`
 	IncrPerFlushNs int64 `json:"incr_per_flush_ns"`
-	FullPerFlushNs int64 `json:"full_per_flush_ns"`
 	IncrChecks     int64 `json:"incr_checks_incremental"`
-	FullChecks     int64 `json:"full_checks_full"`
 }
 
 // runConstraints measures flush-time constraint checking: the delta-seeded
-// path must be flat across base sizes while the forced-full path grows
-// linearly. It returns the JSON report document.
+// check must be flat across base sizes. It returns the JSON report
+// document.
 func runConstraints(jsonOut, short bool) any {
 	bases := []int{1000, 5000, 10000}
 	flushes := 50
@@ -233,38 +230,26 @@ func runConstraints(jsonOut, short bool) any {
 	}
 	report := constraintsReport{Experiment: "constraints", Short: short, Flushes: flushes}
 	for _, base := range bases {
-		incr, err := bench.RunIncrementalConstraints(base, flushes, true)
+		incr, err := bench.RunIncrementalConstraints(base, flushes)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "constraints incr (base=%d): %v\n", base, err)
-			os.Exit(1)
-		}
-		full, err := bench.RunIncrementalConstraints(base, flushes, false)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "constraints full (base=%d): %v\n", base, err)
+			fmt.Fprintf(os.Stderr, "constraints (base=%d): %v\n", base, err)
 			os.Exit(1)
 		}
 		report.Points = append(report.Points, constraintsPointJSON{
 			Base:           base,
 			IncrPerFlushNs: incr.PerFlush.Nanoseconds(),
-			FullPerFlushNs: full.PerFlush.Nanoseconds(),
 			IncrChecks:     incr.Checks.Incremental,
-			FullChecks:     full.Checks.Full,
 		})
 	}
 	if jsonOut {
 		return report
 	}
 	fmt.Printf("== Incremental constraint checking (flushes=%d, 1 fresh fact each) ==\n", flushes)
-	fmt.Println("(per-flush check cost: delta-seeded must stay flat in base, full grows linearly)")
+	fmt.Println("(per-flush check cost: delta-seeded, must stay flat in base)")
 	fmt.Println()
-	fmt.Printf("%10s %16s %16s %10s\n", "base", "incr/flush(us)", "full/flush(us)", "speedup")
+	fmt.Printf("%10s %16s\n", "base", "incr/flush(us)")
 	for _, p := range report.Points {
-		speedup := float64(0)
-		if p.IncrPerFlushNs > 0 {
-			speedup = float64(p.FullPerFlushNs) / float64(p.IncrPerFlushNs)
-		}
-		fmt.Printf("%10d %16.1f %16.1f %9.1fx\n", p.Base,
-			float64(p.IncrPerFlushNs)/1e3, float64(p.FullPerFlushNs)/1e3, speedup)
+		fmt.Printf("%10d %16.1f\n", p.Base, float64(p.IncrPerFlushNs)/1e3)
 	}
 	fmt.Println()
 	return report
@@ -359,8 +344,8 @@ func runWAL(kind bench.TransportKind, jsonOut, short bool) any {
 
 // serveReport is the machine-readable shape of the serve experiment:
 // queries/sec against a loaded workspace at increasing concurrency
-// (snapshot reads, no writer), plus the locked-vs-snapshot contention A/B
-// under a signing writer.
+// (snapshot reads, no writer), plus the same reads under a signing
+// writer.
 type serveReport struct {
 	Experiment string                `json:"experiment"`
 	Short      bool                  `json:"short"`
@@ -380,6 +365,9 @@ type servePointJSON struct {
 	P99Ns   int64   `json:"p99_ns"`
 }
 
+// serveContentionJSON keeps the array-with-mode shape of the uploaded
+// artifact from when a second read path was measured beside this one;
+// mode is always "snapshot".
 type serveContentionJSON struct {
 	Mode          string  `json:"mode"`
 	Clients       int     `json:"clients"`
@@ -412,11 +400,11 @@ func runServe(jsonOut, short bool) any {
 			P50Ns: p.P50.Nanoseconds(), P99Ns: p.P99.Nanoseconds(),
 		})
 	}
-	for _, c := range r.Contention {
-		report.Contention = append(report.Contention, serveContentionJSON{
-			Mode: c.Mode, Clients: c.Clients, WriterFlushes: c.WriterFlushes,
+	if c := r.Contention; c != nil {
+		report.Contention = []serveContentionJSON{{
+			Mode: "snapshot", Clients: c.Clients, WriterFlushes: c.WriterFlushes,
 			QPS: c.QPS, P50Ns: c.P50.Nanoseconds(), P99Ns: c.P99.Nanoseconds(),
-		})
+		}}
 	}
 	if jsonOut {
 		return report
@@ -764,14 +752,12 @@ func ratio(a, b float64) float64 {
 }
 
 func runAblations() {
-	fmt.Println("== Ablation A1: semi-naive vs naive fixpoint (transitive closure) ==")
-	fmt.Printf("%10s %14s %14s %10s\n", "chain", "seminaive(s)", "naive(s)", "paths")
+	fmt.Println("== Ablation A1: semi-naive fixpoint (transitive closure) ==")
+	fmt.Printf("%10s %14s %10s\n", "chain", "seminaive(s)", "paths")
 	for _, n := range []int{50, 100, 200} {
-		semi, paths, err := bench.RunTC(n, false)
+		semi, paths, err := bench.RunTC(n)
 		check(err)
-		naive, _, err := bench.RunTC(n, true)
-		check(err)
-		fmt.Printf("%10d %14.4f %14.4f %10d\n", n, semi.Seconds(), naive.Seconds(), paths)
+		fmt.Printf("%10d %14.4f %10d\n", n, semi.Seconds(), paths)
 	}
 	fmt.Println()
 

@@ -209,10 +209,9 @@ path(X,Y) <- edge(X,Y).
 path(X,Z) <- path(X,Y), edge(Y,Z).
 `
 
-// RunTC evaluates transitive closure over a chain of n edges, naive or
-// semi-naive (ablation A1). It returns the evaluation time and the number
-// of derived paths.
-func RunTC(n int, naive bool) (time.Duration, int, error) {
+// RunTC evaluates transitive closure over a chain of n edges (ablation
+// A1). It returns the evaluation time and the number of derived paths.
+func RunTC(n int) (time.Duration, int, error) {
 	prog := datalog.MustParseProgram(TCProgram)
 	db := datalog.NewDatabase()
 	edge := db.Rel("edge", 2)
@@ -220,7 +219,6 @@ func RunTC(n int, naive bool) (time.Duration, int, error) {
 		edge.Insert(t)
 	}
 	ev := datalog.NewEvaluator(db, datalog.NewBuiltinSet())
-	ev.Naive = naive
 	if err := ev.SetRules(prog.Rules); err != nil {
 		return 0, 0, err
 	}
@@ -573,8 +571,8 @@ func RunIncrementalSync(kind TransportKind, principals, base, fresh int) (Increm
 // constraintCheckProgram is the flush-time check workload: a schema
 // constraint (lowered to aux + fail rules) plus a user fail() rule, both
 // over the msg relation that grows to the base size. Every flush must
-// re-establish both checks; the full path rescans all of msg, the
-// delta-seeded path touches only the fresh tuple.
+// re-establish both checks; the delta-seeded checker touches only the
+// fresh tuple.
 const constraintCheckProgram = `
 reg: msg(M,U) -> registered(U).
 nb: fail(U) <- msg(_,U), banned(U).
@@ -587,12 +585,11 @@ type IncrementalConstraints struct {
 	seq int
 }
 
-// NewIncrementalConstraints builds the workspace, optionally forcing the
-// full-check path, and loads base msg facts in one setup transaction
-// (whose cost callers discard). The returned duration is the setup time.
-func NewIncrementalConstraints(base int, incremental bool) (*IncrementalConstraints, time.Duration, error) {
+// NewIncrementalConstraints builds the workspace and loads base msg facts
+// in one setup transaction (whose cost callers discard). The returned
+// duration is the setup time.
+func NewIncrementalConstraints(base int) (*IncrementalConstraints, time.Duration, error) {
 	ws := workspace.New("alice")
-	ws.SetIncrementalChecks(incremental)
 	if err := ws.LoadProgram(constraintCheckProgram); err != nil {
 		return nil, 0, err
 	}
@@ -629,22 +626,19 @@ func (c *IncrementalConstraints) Workspace() *workspace.Workspace { return c.ws 
 // IncrementalConstraintsResult reports one RunIncrementalConstraints
 // execution.
 type IncrementalConstraintsResult struct {
-	Base        int
-	Flushes     int
-	Incremental bool
-	Setup       time.Duration
-	Total       time.Duration // sum over the measured flushes
-	PerFlush    time.Duration // Total / Flushes
-	Checks      workspace.CheckStats
+	Base     int
+	Flushes  int
+	Setup    time.Duration
+	Total    time.Duration // sum over the measured flushes
+	PerFlush time.Duration // Total / Flushes
+	Checks   workspace.CheckStats
 }
 
 // RunIncrementalConstraints loads base facts, then measures the given
-// number of single-fact flushes under the selected check mode. With the
-// delta-seeded checker PerFlush is flat in base; with the full checker it
-// grows linearly (the aux relations are recomputed from the whole msg
-// relation every flush).
-func RunIncrementalConstraints(base, flushes int, incremental bool) (IncrementalConstraintsResult, error) {
-	c, setup, err := NewIncrementalConstraints(base, incremental)
+// number of single-fact flushes. With the delta-seeded checker PerFlush
+// is flat in base.
+func RunIncrementalConstraints(base, flushes int) (IncrementalConstraintsResult, error) {
+	c, setup, err := NewIncrementalConstraints(base)
 	if err != nil {
 		return IncrementalConstraintsResult{}, err
 	}
@@ -659,11 +653,10 @@ func RunIncrementalConstraints(base, flushes int, incremental bool) (Incremental
 	}
 	after := c.ws.CheckStats()
 	r := IncrementalConstraintsResult{
-		Base:        base,
-		Flushes:     flushes,
-		Incremental: incremental,
-		Setup:       setup,
-		Total:       total,
+		Base:    base,
+		Flushes: flushes,
+		Setup:   setup,
+		Total:   total,
 		Checks: workspace.CheckStats{
 			Incremental: after.Incremental - before.Incremental,
 			Full:        after.Full - before.Full,

@@ -1,7 +1,7 @@
 // Serve-throughput benchmark: queries/sec against a loaded workspace at
-// increasing client concurrency, plus an A/B contention run showing what
-// snapshot reads buy — readers that no longer serialize behind the
-// workspace lock while a writer flushes.
+// increasing client concurrency, plus a contention run — the same reads
+// while a writer flushes, which snapshot reads keep off the workspace
+// lock.
 package bench
 
 import (
@@ -25,8 +25,8 @@ type ServeOptions struct {
 	PerClient int
 	// Clients lists the concurrency levels to measure (e.g. 1, 4, 16).
 	Clients []int
-	// Contention additionally measures locked vs snapshot reads under a
-	// concurrent writer (at the highest client count).
+	// Contention additionally measures reads under a concurrent writer
+	// (at the highest client count).
 	Contention bool
 }
 
@@ -40,10 +40,9 @@ type ServePoint struct {
 	P99      time.Duration
 }
 
-// ServeContention is one arm of the locked-vs-snapshot A/B: the same
-// client load with a writer continuously committing transactions.
+// ServeContention is the client load re-run with a writer continuously
+// committing transactions.
 type ServeContention struct {
-	Mode          string // "locked" or "snapshot"
 	Clients       int
 	WriterFlushes int64
 	ServePoint
@@ -57,23 +56,19 @@ type ServeResult struct {
 	Scaling []ServePoint
 	// ScalingX is top-concurrency QPS over single-client QPS.
 	ScalingX float64
-	// Contention holds the A/B arms (empty unless requested).
-	Contention []ServeContention
+	// Contention is the under-writer run (nil unless requested).
+	Contention *ServeContention
 }
 
-// contentionWindow is how long each contention arm runs its readers: long
-// enough to overlap dozens of writer flushes, short enough for CI.
+// contentionWindow is how long the contention run keeps its readers
+// going: long enough to overlap dozens of writer flushes, short enough
+// for CI.
 const contentionWindow = 2 * time.Second
 
-// serveSystem builds a system with a loaded principal (alice, RSA-signed
-// says) and a server in front of it. bob exists as a destination for the
-// contention writer's statements.
-func serveSystem(base int, locked bool) (*core.System, *server.Server, error) {
-	return serveSystemOpts(base, server.Options{LockedReads: locked})
-}
-
-// serveSystemOpts is serveSystem with full control of the server
-// options (the obs experiment passes an observability bundle through).
+// serveSystemOpts builds a system with a loaded principal (alice,
+// RSA-signed says) and a server with the given options in front of it
+// (the obs experiment passes an observability bundle through). bob exists
+// as a destination for the contention writer's statements.
 func serveSystemOpts(base int, opts server.Options) (*core.System, *server.Server, error) {
 	sys := core.NewSystem()
 	p, err := sys.AddPrincipal("alice")
@@ -202,10 +197,9 @@ func runServePoint(sys *core.System, srv *server.Server, clients, perClient, bas
 }
 
 // RunServe measures serve throughput. The scaling series runs snapshot
-// reads with no writer; the contention series (optional) re-runs the top
-// concurrency level twice — locked reads vs snapshot reads — while a
-// writer continuously commits 50-fact transactions, exposing how much of
-// a reader's tail latency is spent serialized behind flushes.
+// reads with no writer; the contention run (optional) repeats the top
+// concurrency level while a writer continuously commits signed says
+// batches, exposing what a concurrent flush costs a reader's tail.
 func RunServe(opts ServeOptions) (*ServeResult, error) {
 	if opts.Base <= 0 {
 		opts.Base = 10000
@@ -218,7 +212,7 @@ func RunServe(opts ServeOptions) (*ServeResult, error) {
 	}
 	res := &ServeResult{Base: opts.Base, PerClient: opts.PerClient}
 	for _, n := range opts.Clients {
-		sys, srv, err := serveSystem(opts.Base, false)
+		sys, srv, err := serveSystemOpts(opts.Base, server.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -234,22 +228,18 @@ func RunServe(opts ServeOptions) (*ServeResult, error) {
 		res.ScalingX = res.Scaling[len(res.Scaling)-1].QPS / res.Scaling[0].QPS
 	}
 	if opts.Contention {
-		top := opts.Clients[len(opts.Clients)-1]
-		for _, locked := range []bool{true, false} {
-			arm, err := runContentionArm(opts, top, locked)
-			if err != nil {
-				return nil, err
-			}
-			res.Contention = append(res.Contention, arm)
+		arm, err := runContention(opts, opts.Clients[len(opts.Clients)-1])
+		if err != nil {
+			return nil, err
 		}
+		res.Contention = &arm
 	}
 	return res, nil
 }
 
-// runContentionArm measures one locked-or-snapshot arm under a
-// continuous writer.
-func runContentionArm(opts ServeOptions, clients int, locked bool) (ServeContention, error) {
-	sys, srv, err := serveSystem(opts.Base, locked)
+// runContention measures the read load under a continuous writer.
+func runContention(opts ServeOptions, clients int) (ServeContention, error) {
+	sys, srv, err := serveSystemOpts(opts.Base, server.Options{})
 	if err != nil {
 		return ServeContention{}, err
 	}
@@ -267,9 +257,8 @@ func runContentionArm(opts ServeOptions, clients int, locked bool) (ServeContent
 		// batch of says statements whose exports the RSA scheme signs
 		// *inside* the transaction, so each flush holds the workspace lock
 		// for the batch's signing duration (milliseconds) while its delta
-		// stays a few dozen tuples. Locked readers stall behind every
-		// signing batch; snapshot readers keep answering off the published
-		// view.
+		// stays a few dozen tuples. Snapshot readers keep answering off
+		// the published view meanwhile.
 		ticker := time.NewTicker(25 * time.Millisecond)
 		defer ticker.Stop()
 		seq := 0
@@ -296,15 +285,7 @@ func runContentionArm(opts ServeOptions, clients int, locked bool) (ServeContent
 	close(stop)
 	<-writerDone
 	if err != nil {
-		mode := "snapshot"
-		if locked {
-			mode = "locked"
-		}
-		return ServeContention{}, fmt.Errorf("bench: contention arm %s: %w", mode, err)
+		return ServeContention{}, fmt.Errorf("bench: contention run: %w", err)
 	}
-	mode := "snapshot"
-	if locked {
-		mode = "locked"
-	}
-	return ServeContention{Mode: mode, Clients: clients, WriterFlushes: flushes, ServePoint: pt}, nil
+	return ServeContention{Clients: clients, WriterFlushes: flushes, ServePoint: pt}, nil
 }

@@ -126,9 +126,10 @@ func (c *canonizer) term(b *strings.Builder, t Term) {
 
 // CanonicalValue renders a value in re-parseable canonical surface syntax.
 // It is the per-value form of the canonical encoding that Code identity and
-// the signature built-ins use, and is what the distribution transports
-// write on the wire, so the same tuple encodes to the same bytes on every
-// node and every transport.
+// the signature built-ins use, so the same value renders to the same bytes
+// on every node. Tuples on the wire use the tagged encoding of serial.go,
+// not this rendering; an entity crosses as the reserved symbol it renders
+// to here.
 func CanonicalValue(v Value) string { return canonValue(v) }
 
 // canonValue renders a constant in re-parseable surface syntax, so that

@@ -85,8 +85,8 @@ func TestRunDeltaPropagatesAcrossStrata(t *testing.T) {
 	}
 }
 
-// TestOnDeriveObservesEveryDerivation distinguishes OnDerive from Trace:
-// Trace fires once per newly inserted tuple, OnDerive once per successful
+// TestOnDeriveObservesEveryDerivation distinguishes OnDerive from OnNew:
+// OnNew fires once per newly inserted tuple, OnDerive once per successful
 // body instantiation, so re-derivations (here the same head through two
 // rules) are visible with their distinct premise sets.
 func TestOnDeriveObservesEveryDerivation(t *testing.T) {
@@ -102,9 +102,9 @@ func TestOnDeriveObservesEveryDerivation(t *testing.T) {
 	db.Rel("a", 1).Insert(NewTuple(Sym("x")))
 	db.Rel("b", 1).Insert(NewTuple(Sym("x")))
 
-	traced, derived := 0, 0
+	inserted, derived := 0, 0
 	var preds []string
-	ev.Trace = func(pred string, tu Tuple, r *Rule, premises []Premise) { traced++ }
+	ev.OnNew = func(pred string, tu Tuple) { inserted++ }
 	ev.OnDerive = func(pred string, tu Tuple, r *Rule, premises []Premise) {
 		derived++
 		for _, pr := range premises {
@@ -114,8 +114,8 @@ func TestOnDeriveObservesEveryDerivation(t *testing.T) {
 	if err := ev.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if traced != 1 {
-		t.Errorf("Trace fired %d times, want 1 (single fresh tuple)", traced)
+	if inserted != 1 {
+		t.Errorf("OnNew fired %d times, want 1 (single fresh tuple)", inserted)
 	}
 	if derived != 2 {
 		t.Errorf("OnDerive fired %d times, want 2 (one per deriving rule)", derived)

@@ -14,8 +14,8 @@ type Premise struct {
 	Tuple Tuple
 }
 
-// TraceFunc observes each newly derived tuple together with the rule and
-// the body facts that produced it.
+// TraceFunc observes one derivation: the head tuple together with the
+// rule and the body facts that produced it.
 type TraceFunc func(pred string, t Tuple, r *Rule, premises []Premise)
 
 // ErrNeedsFullEval is returned by RunDelta when the incremental update
@@ -29,16 +29,14 @@ var ErrNeedsFullEval = errors.New("datalog: incremental update affects negation 
 type Evaluator struct {
 	DB       *Database
 	Builtins *BuiltinSet
-	// Trace, when set, observes every derivation for provenance capture.
-	Trace TraceFunc
 	// OnNew, when set, observes every tuple newly inserted into DB by
 	// evaluation (derived tuples only; base assertions go through the
 	// caller). The workspace uses it to expose per-flush deltas to flush
 	// observers without rescanning relations.
 	OnNew func(pred string, t Tuple)
 	// OnDerive, when set, observes every successful body instantiation —
-	// including re-derivations of tuples already present in DB, which Trace
-	// suppresses. The workspace's constraint checker uses it to collect the
+	// including re-derivations of tuples already present in DB, which OnNew
+	// never sees. The workspace's constraint checker uses it to collect the
 	// complete premise set of every violation, so full and delta evaluation
 	// report identical (deduplicated) violations regardless of which
 	// derivation the tuple-level insert happens to see first.
@@ -51,10 +49,6 @@ type Evaluator struct {
 	// the constraint checker's fail(L) <- LHS, !aux(...) shape where the
 	// aux predicate is maintained in a strictly lower stratum.
 	SafeNeg func(pred string) bool
-	// Naive disables the semi-naive delta optimization: every iteration
-	// re-evaluates all rules against the full database. It exists for the
-	// ablation benchmarks; leave it false otherwise.
-	Naive bool
 	// Budget, when non-nil, bounds the work this evaluator may do: one
 	// gas unit per tuple enumerated while solving bodies or queries, plus
 	// derived-tuple and memory accounting on every new insertion. When a
@@ -340,9 +334,6 @@ func (ev *Evaluator) runStratum(s int, seed map[string]*Relation) error {
 			if ev.OnNew != nil {
 				ev.OnNew(pred, t)
 			}
-			if ev.Trace != nil {
-				ev.Trace(pred, t, cr.src, premises)
-			}
 			return nil
 		}
 	}
@@ -367,21 +358,6 @@ func (ev *Evaluator) runStratum(s int, seed map[string]*Relation) error {
 			if err := ev.evalRule(cr, cr.plan, -1, nil, emit(cr)); err != nil {
 				return err
 			}
-		}
-		if ev.Naive {
-			// Ablation mode: iterate full rounds to fixpoint.
-			for len(newDelta) > 0 {
-				newDelta = map[string]*Relation{}
-				for _, cr := range rules {
-					if cr.agg != nil {
-						continue
-					}
-					if err := ev.evalRule(cr, cr.plan, -1, nil, emit(cr)); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
 		}
 	} else {
 		// Incremental: drive rules whose bodies mention seeded predicates.
@@ -476,7 +452,7 @@ func (cr *compiledRule) forcedPlan(j int, builtins *BuiltinSet) ([]int, error) {
 func (ev *Evaluator) evalRule(cr *compiledRule, order []int, forced int, delta *Relation, out func(Tuple, []Premise) error) error {
 	en := newEnv()
 	var premises []Premise
-	collect := ev.Trace != nil || ev.OnDerive != nil
+	collect := ev.OnDerive != nil
 	bud := ev.Budget
 
 	var step func(k int) error

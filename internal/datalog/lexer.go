@@ -202,6 +202,44 @@ func isIdentPart(c byte) bool {
 	return c == '_' || unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c))
 }
 
+// identEnd returns the end of the identifier that starts at src[start]
+// (which must satisfy isIdentStart). It continues through ':' when
+// immediately followed by an identifier character, so message:id and
+// rsa:3:c1ebab5d are single identifiers while "m2: rule" is not.
+func identEnd(src string, start int) int {
+	at := func(i int) byte {
+		if i >= len(src) {
+			return 0
+		}
+		return src[i]
+	}
+	i := start + 1
+	for {
+		switch {
+		case isIdentPart(at(i)):
+			i++
+		case at(i) == ':' && isIdentPart(at(i+1)) && at(i+1) != '_':
+			i += 2
+		default:
+			return i
+		}
+	}
+}
+
+// isVarName reports whether an identifier is a variable rather than a
+// symbol: it starts with an upper-case letter or an underscore.
+func isVarName(ident string) bool {
+	return ident[0] == '_' || unicode.IsUpper(rune(ident[0]))
+}
+
+// IsSymbolToken reports whether s lexes as exactly one symbol token —
+// the condition under which a Sym or predicate name written into canonical
+// text re-parses as itself. The reserved forms (lb:entity:atom:17,
+// rsa:3:c1ebab5d, hmac:…) qualify.
+func IsSymbolToken(s string) bool {
+	return s != "" && isIdentStart(s[0]) && !isVarName(s) && identEnd(s, 0) == len(s)
+}
+
 // next returns the next token.
 func (l *lexer) next() (token, error) {
 	if err := l.skipSpaceAndComments(); err != nil {
@@ -215,26 +253,10 @@ func (l *lexer) next() (token, error) {
 	c := l.peekByte()
 	switch {
 	case isIdentStart(c):
-		start := l.pos
-		l.advance()
-		for l.pos < len(l.src) {
-			if isIdentPart(l.peekByte()) {
-				l.advance()
-				continue
-			}
-			// Continue through ':' when immediately followed by an
-			// identifier character, so message:id and rsa:3:c1ebab5d lex
-			// as single identifiers while "m2: rule" does not.
-			if l.peekByte() == ':' && isIdentPart(l.peekAt(1)) && l.peekAt(1) != '_' {
-				l.advance()
-				l.advance()
-				continue
-			}
-			break
-		}
-		text := l.src[start:l.pos]
-		first := rune(text[0])
-		if text == "_" || unicode.IsUpper(first) || (first == '_' && len(text) > 1) {
+		text := l.src[l.pos:identEnd(l.src, l.pos)]
+		l.pos += len(text)
+		l.col += len(text)
+		if isVarName(text) {
 			t.kind, t.text = tokVar, text
 		} else {
 			t.kind, t.text = tokIdent, text

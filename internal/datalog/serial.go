@@ -6,14 +6,18 @@ import (
 	"strings"
 )
 
-// This file is the stable serialization layer under internal/store: a
-// tagged, line-safe value encoding that round-trips every value kind
+// This file is the one serialization of a tuple that leaves the process:
+// a tagged, line-safe value encoding that round-trips every value kind
 // exactly, and a canonical constraint rendering that re-parses. The
-// canonical surface syntax of canon.go is byte-stable but lossy for
-// entities (lb:entity:… re-parses as a symbol); durability needs the
-// restored database to compare byte-identically to the one that was
-// logged, so the write-ahead log and snapshot files use this encoding
-// instead of the wire codec.
+// write-ahead log and snapshot files of internal/store use it, and so do
+// the inter-node envelopes of internal/dist and the serving layer's rows
+// frames. The canonical surface syntax of canon.go is byte-stable but
+// lossy for entities (lb:entity:… re-parses as a symbol); durability needs
+// the restored database to compare byte-identically to the one that was
+// logged, which is why this encoding tags entities. On the wire that
+// exactness is deliberately given up for entities alone: their IDs are
+// node-local, so internal/dist substitutes the reserved symbol before
+// encoding (see dist/codec.go).
 //
 // A value encodes as a one-character kind tag followed by its payload;
 // strings are strconv-quoted, so encoded values never contain raw tabs or
@@ -64,7 +68,8 @@ func AppendValue(dst []byte, v Value) []byte {
 // restored system contains each rule's canonical text many times (the
 // says fact, the signed export, the active table, the meta model), and
 // re-parsing it per occurrence would dominate recovery time. A nil
-// *Decoder is valid and simply parses every occurrence.
+// *Decoder is valid and simply parses every occurrence. The code memo is
+// unbounded, so a decoder fed by a peer must not outlive one frame.
 type Decoder struct {
 	codes map[string]Code
 	// vals memoizes whole encoded columns: a restored database repeats
@@ -237,13 +242,11 @@ func (d *Decoder) DecodeTupleLine(line string) (Tuple, error) {
 	}
 	n := strings.Count(line, "\t") + 1
 	vs := make([]Value, 0, n)
-	for len(line) > 0 {
-		col := line
-		if i := strings.IndexByte(line, '\t'); i >= 0 {
-			col, line = line[:i], line[i+1:]
-		} else {
-			line = ""
-		}
+	for more := true; more; {
+		// A trailing tab leaves an empty last column, which fails to decode
+		// rather than being dropped.
+		var col string
+		col, line, more = strings.Cut(line, "\t")
 		var v Value
 		var err error
 		if d != nil {

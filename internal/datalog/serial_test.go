@@ -55,8 +55,37 @@ func TestValueDecodingRejectsCorruptInput(t *testing.T) {
 			t.Errorf("DecodeValue(%q) = %v, want error", bad, v)
 		}
 	}
-	if _, err := DecodeTupleLine("y\"a\"\tzzz"); err == nil {
-		t.Error("DecodeTupleLine with corrupt column decoded")
+	for _, bad := range []string{"y\"a\"\tzzz", "y\"a\"\t", "\ty\"a\"", "y\"a\"\t\ty\"b\"", "\t"} {
+		if tu, err := DecodeTupleLine(bad); err == nil {
+			t.Errorf("DecodeTupleLine(%q) = %v, want error", bad, tu)
+		}
+		if tu, err := NewDecoder().DecodeTupleLine(bad); err == nil {
+			t.Errorf("Decoder.DecodeTupleLine(%q) = %v, want error", bad, tu)
+		}
+	}
+}
+
+// TestIsSymbolTokenAgreesWithLexer: IsSymbolToken(s) holds exactly when
+// the lexer reads s as one identifier token spanning all of s, so a
+// symbol that passes it re-parses from canonical text as itself.
+func TestIsSymbolTokenAgreesWithLexer(t *testing.T) {
+	for _, s := range []string{
+		"alice", "a1", "a_b", "message:id", "lb:entity:atom:17", "rsa:3:c1ebab5d", "hmac:k1", "agg",
+		"", "a b", "a\tb", "a):-b(c", "x). evil(y", "Var", "_", "_x", "1a", "a:", "a::b", "a:_b", ":a",
+		"a.", "a-b", "a//c", "a\n", " a", "a ", "\"a\"", "[|a|]", "a[b]", "a(b)", "üñí", "a\x00",
+	} {
+		toks, err := lexAll(s)
+		want := err == nil && len(toks) == 2 && toks[0].kind == tokIdent && toks[0].text == s
+		if got := IsSymbolToken(s); got != want {
+			t.Errorf("IsSymbolToken(%q) = %v, lexer says %v", s, got, want)
+		}
+		if want {
+			if r, err := ParseClause("t(" + s + ")."); err != nil || !r.IsFact() {
+				t.Errorf("symbol token %q does not parse as a constant: %v", s, err)
+			} else if v, ground, err := EvalGroundTerm(r.Heads[0].AllArgs()[0]); err != nil || !ground || v != Sym(s) {
+				t.Errorf("symbol token %q re-parses as %v", s, v)
+			}
+		}
 	}
 }
 

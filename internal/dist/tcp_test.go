@@ -2,6 +2,7 @@ package dist
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"lbtrust/internal/datalog"
@@ -49,12 +50,31 @@ func TestDecodeEnvelopeRejectsGarbage(t *testing.T) {
 	for _, bad := range []string{
 		"",
 		"nonsense header line\n",
-		"lbtrust/1 n1 n2 alice bob import 2\nt(only)\n", // truncated
-		"lbtrust/1 n1 n2 alice bob import 1\nt(unbound(V))\n",
+		"lbtrust/2 n1 n2 alice bob import 2\ny\"only\"\n",           // truncated
+		"lbtrust/2 n1 n2 alice bob import 1\ny\"one\"\ny\"two\"\n",  // a tuple beyond the declared count
+		"lbtrust/2 n1 n2 alice bob import 1junk\ny\"one\"\n",        // count is not exactly a decimal
+		"lbtrust/2 n1 n2 alice bob import 1\ny\"one\"\n\n",          // trailing bytes
+		"lbtrust/2 n1 n2 alice bob import 1\nunbound(V)\n",          // not a tagged value
+		"lbtrust/2 n1 n2 alice bob import 1\nc\"broken(\"\n",        // code payload does not parse
+		"lbtrust/2 n1 n2 alice bob import 1\ny\"a b\"\n",            // symbol is not a symbol token
+		"lbtrust/2 n1 n2 alice bob import 1\ny\"x). evil(y\"\n",     // clause text smuggled in a symbol
+		"lbtrust/2 n1 n2 alice bob import 1\ny\"Var\"\n",            // a variable name is not a symbol
+		"lbtrust/2 n1 n2 alice bob import 1\np\"a b\"y\"z\"\n",      // partition predicate is not a symbol token
+		"lbtrust/2 n1 n2 alice bob import 1\np\"export\"y\"a b\"\n", // nor may its argument be
+		"lbtrust/2 n1 n2 alice bob import 1\ny\"a\"\t\n",            // trailing tab: an empty last column
 	} {
 		if _, err := DecodeEnvelope([]byte(bad)); err == nil {
 			t.Errorf("DecodeEnvelope(%q) accepted garbage", bad)
 		}
+	}
+}
+
+// TestRetiredEnvelopeVersionRefused: lbtrust/1 carried tuples as Datalog
+// source; it is refused by name, not parsed under the new rules.
+func TestRetiredEnvelopeVersionRefused(t *testing.T) {
+	_, err := DecodeEnvelope([]byte("lbtrust/1 n1 n2 alice bob import 1\nt(x)\n"))
+	if err == nil || !strings.Contains(err.Error(), `"lbtrust/1"`) || !strings.Contains(err.Error(), "lbtrust/2") {
+		t.Fatalf("DecodeEnvelope(lbtrust/1 ...) = %v, want a refusal naming both versions", err)
 	}
 }
 

@@ -60,7 +60,7 @@ func TestTracePropagatesAcrossTCP(t *testing.T) {
 func TestUntracedEnvelopeBytesUnchanged(t *testing.T) {
 	env := &Envelope{From: "n1", To: "n2", Sender: "alice", Principal: "bob", Pred: "inbox"}
 	got := string(EncodeEnvelope(env))
-	if want := "lbtrust/1 n1 n2 alice bob inbox 0\n"; got != want {
+	if want := "lbtrust/2 n1 n2 alice bob inbox 0\n"; got != want {
 		t.Fatalf("untraced encoding = %q, want %q", got, want)
 	}
 }
@@ -85,14 +85,14 @@ func TestEnvelopeTraceRoundTrip(t *testing.T) {
 // skip key=value fields it does not recognize (future senders), but still
 // reject junk that is not key=value.
 func TestDecodeIgnoresUnknownExtensions(t *testing.T) {
-	dec, err := DecodeEnvelope([]byte("lbtrust/1 n1 n2 alice bob inbox 0 compress=zstd trace=0123456789abcdef\n"))
+	dec, err := DecodeEnvelope([]byte("lbtrust/2 n1 n2 alice bob inbox 0 compress=zstd trace=0123456789abcdef\n"))
 	if err != nil {
 		t.Fatalf("decode with unknown extension: %v", err)
 	}
 	if dec.Trace != "0123456789abcdef" {
 		t.Errorf("trace = %q, want 0123456789abcdef", dec.Trace)
 	}
-	if _, err := DecodeEnvelope([]byte("lbtrust/1 n1 n2 alice bob inbox 0 junk\n")); err == nil {
+	if _, err := DecodeEnvelope([]byte("lbtrust/2 n1 n2 alice bob inbox 0 junk\n")); err == nil {
 		t.Errorf("want error for non key=value extension field")
 	}
 }

@@ -34,9 +34,9 @@ func Dial(addr string) (*Client, error) {
 		conn.Close()
 		return nil, fmt.Errorf("server: reading greeting from %s: %w", addr, err)
 	}
-	if !strings.HasPrefix(string(greet), Magic) {
+	if version, _, _ := strings.Cut(string(greet), " "); version != Magic {
 		conn.Close()
-		return nil, fmt.Errorf("server: %s is not a trust service (greeting %q)", addr, greet)
+		return nil, fmt.Errorf("server: %s greets with %q, this client speaks %s (versions do not interoperate)", addr, version, Magic)
 	}
 	return &Client{conn: conn}, nil
 }

@@ -74,12 +74,31 @@ func TestStatsRaceUnderMixedTraffic(t *testing.T) {
 	wg.Wait()
 }
 
+// lockedBuffer is a log sink the test reads while session goroutines may
+// still be writing their closing lines to it.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
 // TestServerObsEndToEnd drives real traffic through an instrumented
 // server and checks the whole stack reported: per-verb server metrics,
 // evaluator counters from the workspace layer, dist sync counters, and
 // a request trace whose ID shows up in a dist-layer span and in the log.
 func TestServerObsEndToEnd(t *testing.T) {
-	var logBuf bytes.Buffer
+	var logBuf lockedBuffer
 	o := &obs.Obs{
 		Registry: obs.NewRegistry(),
 		Log:      slog.New(slog.NewTextHandler(&logBuf, &slog.HandlerOptions{Level: slog.LevelDebug})),

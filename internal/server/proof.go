@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"strings"
 
-	"lbtrust/internal/dist"
+	"lbtrust/internal/datalog"
 	"lbtrust/internal/provenance"
 )
 
@@ -19,8 +19,9 @@ type ProofOrigin struct {
 }
 
 // ProofNode is the wire form of one node of a proof tree, as served by
-// the explain verb. Tuple is the canonical dist.EncodeTuple encoding (the
-// same dialect rows frames use); Rule and Label are set on derived facts;
+// the explain verb. Tuple is display text — the parenthesized arguments
+// in canonical surface syntax — and is never decoded; Rule and Label are
+// set on derived facts;
 // exactly one of {Rule, Base, Origin, Cycle} explains a node, except that
 // Truncated may accompany Base when the provenance cap dropped entries.
 type ProofNode struct {
@@ -49,7 +50,7 @@ func proofNode(p *provenance.Proof) *ProofNode {
 	}
 	n := &ProofNode{
 		Pred:      p.Pred,
-		Tuple:     dist.EncodeTuple(p.Tuple),
+		Tuple:     displayTuple(p.Tuple),
 		Base:      p.Base,
 		Cycle:     p.Cycle,
 		Truncated: p.Truncated,
@@ -66,6 +67,16 @@ func proofNode(p *provenance.Proof) *ProofNode {
 	}
 	n.Activation = proofNode(p.Activation)
 	return n
+}
+
+// displayTuple renders a tuple's arguments as "(v1,v2,...)" in canonical
+// surface syntax, for a person to read beside the predicate name.
+func displayTuple(t datalog.Tuple) string {
+	args := make([]string, t.Len())
+	for i, v := range t.Values() {
+		args[i] = datalog.CanonicalValue(v)
+	}
+	return "(" + strings.Join(args, ",") + ")"
 }
 
 // encodeProofs renders the explain response frame: "json <n>\n<body>"
@@ -95,9 +106,7 @@ func (n *ProofNode) Render() string {
 func (n *ProofNode) render(b *strings.Builder, depth int) {
 	b.WriteString(strings.Repeat("  ", depth))
 	b.WriteString(n.Pred)
-	// Tuple is the wire encoding "t(arg,...)": swap the dummy functor for
-	// the predicate so the line reads like source syntax.
-	b.WriteString(strings.TrimPrefix(n.Tuple, "t"))
+	b.WriteString(n.Tuple)
 	switch {
 	case n.Origin != nil:
 		fmt.Fprintf(b, "  [from node %s, said by %s", n.Origin.Node, n.Origin.Sender)

@@ -1,15 +1,20 @@
 // Wire protocol of the serving layer. Requests and responses travel as
 // the length-prefixed frames of internal/dist (dist.WriteFrame /
-// dist.ReadFrame), and result tuples ride in the same canonical encoding
-// the distribution codec uses (dist.EncodeTuple / dist.DecodeTuple), so
-// the service speaks the byte-stable dialect the rest of the system
-// already ships between nodes.
+// dist.ReadFrame), and result tuples ride in the same tuple body an
+// inter-node envelope carries (dist.AppendTupleLines /
+// dist.ParseTupleLines: one tagged datalog/serial.go line per tuple,
+// entities sent as reserved symbols, received symbols held to the symbol
+// token rule, one decoder per frame), so the service speaks the
+// byte-stable dialect the rest of the system already ships between nodes.
 //
 // On connect the server sends one greeting frame:
 //
-//	lbtrust-serve/1 <system kind>
+//	lbtrust-serve/2 <system kind>
 //
-// after which the client drives a strict request/response exchange. A
+// The version names the rows encoding; a client refuses any other
+// greeting (lbtrust-serve/1 carried rows as Datalog source), so /1 and
+// /2 peers do not interoperate. After the greeting the client drives a
+// strict request/response exchange. A
 // request frame is a verb line, optionally followed by free text (the
 // atom, fact, or clause — which may span lines):
 //
@@ -27,7 +32,7 @@
 //
 //	ok [detail]
 //	challenge <hex nonce>
-//	rows <n>\n<canonical tuple per line>
+//	rows <n>\n<n tagged tuple lines, each newline-terminated>
 //	json <n>\n<n bytes of JSON>
 //	err <code> <message>
 //
@@ -72,9 +77,9 @@
 // body is a JSON array of proof nodes (one per matching tuple, sorted by
 // predicate then canonical tuple key, so the framing is byte-stable
 // across servers holding the same state). Each node carries the fact
-// ("pred" plus the canonical "tuple" encoding of dist.EncodeTuple), how
-// it came to hold — "rule" and "label" for derived facts, "base" for
-// asserted leaves, "origin" {node, sender, trace} for tuples that
+// ("pred" plus "tuple", the parenthesized arguments in canonical surface
+// syntax — display text, never decoded), how it came to hold — "rule" and
+// "label" for derived facts, "base" for asserted leaves, "origin" {node, sender, trace} for tuples that
 // arrived over an inter-node sync — and its premise subtrees under
 // "premises". "cycle" marks a fact already expanded on the same path
 // (recursive rules); "truncated" marks entries the provenance memory cap
@@ -89,16 +94,17 @@
 // labels the request's span and log line, and for the sync verb it rides
 // inside every inter-node envelope the sync ships, as the optional
 // trailing "trace=<id>" field of the dist wire header (see
-// internal/dist/codec.go). The field is a backward-compatible extension:
-// envelopes without a trace encode byte-identically to the pre-trace
-// format, and decoders skip key=value extensions they do not recognize,
-// so traced and untraced peers interoperate. Receiving nodes record
+// internal/dist/codec.go). The field is an optional extension:
+// envelopes without a trace omit it, and decoders skip key=value
+// extensions they do not recognize, so traced and untraced peers
+// interoperate. Receiving nodes record
 // their delivery spans and log lines under the sender's trace ID, which
 // is what makes one client request followable across node boundaries.
 package server
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"lbtrust/internal/datalog"
@@ -106,7 +112,7 @@ import (
 )
 
 // Magic is the protocol greeting and version tag.
-const Magic = "lbtrust-serve/1"
+const Magic = "lbtrust-serve/2"
 
 // nonceHexLen is the exact length of a challenge nonce (32 random bytes,
 // hex-encoded). Clients refuse challenges of any other shape: a session
@@ -189,34 +195,23 @@ func parseRequest(data []byte) (request, error) {
 // materializing a canonical key string per row.
 func encodeRows(rows []datalog.Tuple) []byte {
 	datalog.SortTuples(rows)
-	var b strings.Builder
-	fmt.Fprintf(&b, "rows %d", len(rows))
-	for _, t := range rows {
-		b.WriteByte('\n')
-		b.WriteString(dist.EncodeTuple(t))
-	}
-	return []byte(b.String())
+	b := append([]byte("rows "), strconv.Itoa(len(rows))...)
+	b = append(b, '\n')
+	return dist.AppendTupleLines(b, rows)
 }
 
 // decodeRows parses a rows response payload (the part after "rows ").
 func decodeRows(payload string) ([]datalog.Tuple, error) {
-	lines := strings.Split(payload, "\n")
-	var n int
-	if _, err := fmt.Sscanf(lines[0], "%d", &n); err != nil || n < 0 {
-		return nil, fmt.Errorf("server: malformed rows header %q", lines[0])
+	head, body, _ := strings.Cut(payload, "\n")
+	n, err := strconv.Atoi(head)
+	if err != nil || n < 0 {
+		return nil, fmt.Errorf("server: malformed rows header %q", head)
 	}
-	if len(lines)-1 < n {
-		return nil, fmt.Errorf("server: rows response truncated: %d declared, %d lines", n, len(lines)-1)
+	rows, err := dist.ParseTupleLines(body, n)
+	if err != nil {
+		return nil, fmt.Errorf("server: rows response: %w", err)
 	}
-	out := make([]datalog.Tuple, 0, n)
-	for i := 0; i < n; i++ {
-		t, err := dist.DecodeTuple(lines[1+i])
-		if err != nil {
-			return nil, fmt.Errorf("server: row %d: %w", i, err)
-		}
-		out = append(out, t)
-	}
-	return out, nil
+	return rows, nil
 }
 
 // errFrame renders an error response: "err <code> <message>". The code

@@ -159,7 +159,7 @@ func TestAuditRecordsAuthenticatedRequests(t *testing.T) {
 // heavy verb bumps lb_server_slow_queries_total and emits one warn line
 // carrying the principal, trace ID, and gas spent.
 func TestSlowQueryLogsAndCounts(t *testing.T) {
-	var logBuf bytes.Buffer
+	var logBuf lockedBuffer
 	o := &obs.Obs{
 		Registry: obs.NewRegistry(),
 		Log:      slog.New(slog.NewTextHandler(&logBuf, nil)),

@@ -47,11 +47,6 @@ type Options struct {
 	// Anonymous names the principal whose context answers queries from
 	// unauthenticated sessions. Empty (the default) refuses them.
 	Anonymous string
-	// LockedReads serves queries through the workspace lock
-	// (Workspace.Query) instead of snapshot reads — the serializing
-	// behavior the snapshot path exists to remove. Only the serve
-	// benchmark's A/B comparison sets it.
-	LockedReads bool
 
 	// QueryLimits bounds read-side evaluation and WriteLimits bounds
 	// write-side (flush) evaluation for every principal workspace the
@@ -717,14 +712,7 @@ func (s *Server) query(sess *session, src string, rs *reqStats) []byte {
 		return refusal
 	}
 	s.queries.Add(1)
-	var rows []datalog.Tuple
-	var stats workspace.EvalStats
-	var err error
-	if s.opts.LockedReads {
-		rows, stats, err = p.Workspace().QueryStats(src)
-	} else {
-		rows, stats, err = p.Workspace().Snapshot().QueryStats(src)
-	}
+	rows, stats, err := p.Workspace().Snapshot().QueryStats(src)
 	rs.gas = stats.Gas
 	if err != nil {
 		return s.evalErrFrame(err)

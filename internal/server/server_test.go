@@ -1,11 +1,13 @@
 package server
 
 import (
+	"fmt"
 	"net"
 	"strings"
 	"testing"
 
 	"lbtrust/internal/core"
+	"lbtrust/internal/datalog"
 	"lbtrust/internal/dist"
 	"lbtrust/internal/lbcrypto"
 	"lbtrust/internal/workspace"
@@ -302,5 +304,57 @@ func TestPatternQueryOverWire(t *testing.T) {
 	}
 	if len(direct) != len(rows) || direct[0].Key() != rows[0].Key() {
 		t.Fatalf("snapshot pattern rows %v != live rows %v", rows, direct)
+	}
+}
+
+// TestServedQueryMatchesWorkspaceQuery: the served read path (snapshot
+// query, rows frame, client decode) answers exactly what the locked
+// Workspace.Query answers on the same state — across base facts, derived
+// facts, delivered says with quoted code, and a pattern query.
+func TestServedQueryMatchesWorkspaceQuery(t *testing.T) {
+	sys, srv := newTestSystem(t, Options{})
+	alice := authedClient(t, sys, srv, "alice")
+	for i := 0; i < 20; i++ {
+		if err := alice.Say("bob", fmt.Sprintf(`access(u%d, file%d, %s).`, i, i%3, []string{"read", "write"}[i%2])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := alice.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	bobC := authedClient(t, sys, srv, "bob")
+	if err := bobC.Assert(`readable(U, F) <- access(U, F, read).`); err != nil {
+		t.Fatal(err)
+	}
+	if err := bobC.Assert(`note("two\nlines", -7)`); err != nil {
+		t.Fatal(err)
+	}
+	bobP, _ := sys.Principal("bob")
+	for q, want := range map[string]int{
+		`access(U, F, M)`:    20,
+		`access(u4, F, M)`:   1,
+		`readable(U, file1)`: 3,
+		`note(S, N)`:         1,
+		`says(alice, me, R)`: 20,
+		`says(alice, me, [| access(U, F, write). |])`: 10,
+		`access(nobody, F, M)`:                        0,
+	} {
+		served, err := bobC.Query(q)
+		if err != nil {
+			t.Fatalf("served %s: %v", q, err)
+		}
+		direct, err := bobP.Workspace().Query(q)
+		if err != nil {
+			t.Fatalf("direct %s: %v", q, err)
+		}
+		datalog.SortTuples(direct)
+		if len(served) != want || len(direct) != want {
+			t.Fatalf("%s: served %d rows, workspace %d, want %d", q, len(served), len(direct), want)
+		}
+		for i := range direct {
+			if !served[i].Equal(direct[i]) {
+				t.Errorf("%s row %d: served %v, workspace %v", q, i, served[i], direct[i])
+			}
+		}
 	}
 }

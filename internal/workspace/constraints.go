@@ -241,7 +241,7 @@ func (w *Workspace) checkConstraintsLocked(delta map[string][]datalog.Tuple, can
 		// aux relations of new constraints are empty until seeded).
 		canDelta = false
 	}
-	if canDelta && w.incrementalChecks {
+	if canDelta {
 		filtered := w.filterCheckDeltaLocked(delta)
 		if filtered == nil {
 			// No predicate of the delta occurs in any check-rule body: the

@@ -277,10 +277,20 @@ func TestDefaultConstraintLabelsNeverReused(t *testing.T) {
 	}
 }
 
+// updateFullCheck is Update with the delta-seeded check path ruled out:
+// a pending check-rule change makes the flush clear and re-evaluate every
+// check from scratch, which is the reference the incremental path is
+// compared against.
+func updateFullCheck(w *Workspace, fn func(tx *Tx) error) error {
+	w.mu.Lock()
+	w.constraintsChanged = true
+	w.mu.Unlock()
+	return w.Update(fn)
+}
+
 func TestViolationReportDeterministicAndIdenticalAcrossPaths(t *testing.T) {
-	build := func(incremental bool) *Workspace {
+	build := func() *Workspace {
 		w := New("alice")
-		w.SetIncrementalChecks(incremental)
 		if err := w.LoadProgram(`
 			c: t(X) -> u(X).
 			j: fail() <- l(X), r(X).
@@ -289,21 +299,19 @@ func TestViolationReportDeterministicAndIdenticalAcrossPaths(t *testing.T) {
 		}
 		return w
 	}
-	flush := func(w *Workspace) error {
-		return w.Update(func(tx *Tx) error {
-			// Two violating t facts plus a fail() rule whose premises are
-			// reachable from two delta seed positions: the report must
-			// come out deduplicated and sorted identically either way.
-			for _, f := range []string{"t(2)", "t(1)", "l(9)", "r(9)"} {
-				if err := tx.Assert(f); err != nil {
-					return err
-				}
+	// Two violating t facts plus a fail() rule whose premises are
+	// reachable from two delta seed positions: the report must come out
+	// deduplicated and sorted identically either way.
+	violate := func(tx *Tx) error {
+		for _, f := range []string{"t(2)", "t(1)", "l(9)", "r(9)"} {
+			if err := tx.Assert(f); err != nil {
+				return err
 			}
-			return nil
-		})
+		}
+		return nil
 	}
-	incr, full := build(true), build(false)
-	errIncr, errFull := flush(incr), flush(full)
+	incr, full := build(), build()
+	errIncr, errFull := incr.Update(violate), updateFullCheck(full, violate)
 	if errIncr == nil || errFull == nil {
 		t.Fatalf("expected violations, got incr=%v full=%v", errIncr, errFull)
 	}
@@ -321,7 +329,7 @@ func TestViolationReportDeterministicAndIdenticalAcrossPaths(t *testing.T) {
 		t.Error("incremental workspace did not use the delta path")
 	}
 	if full.CheckStats().Incremental != 0 {
-		t.Error("SetIncrementalChecks(false) workspace used the delta path")
+		t.Error("forced-full workspace used the delta path")
 	}
 }
 
@@ -332,7 +340,6 @@ func TestViolationReportDeterministicAndIdenticalAcrossPaths(t *testing.T) {
 func TestIncrementalFullEquivalenceRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	incr, full := New("alice"), New("alice")
-	full.SetIncrementalChecks(false)
 	for _, w := range []*Workspace{incr, full} {
 		if err := w.LoadProgram(checkProgram); err != nil {
 			t.Fatalf("load: %v", err)
@@ -368,7 +375,7 @@ func TestIncrementalFullEquivalenceRandomized(t *testing.T) {
 	}
 	for i := 0; i < 300; i++ {
 		desc, fn := step(i)
-		errI, errF := incr.Update(fn), full.Update(fn)
+		errI, errF := incr.Update(fn), updateFullCheck(full, fn)
 		switch {
 		case (errI == nil) != (errF == nil):
 			t.Fatalf("op %d (%s): incr err %v, full err %v", i, desc, errI, errF)

@@ -70,11 +70,8 @@ type Workspace struct {
 	// checkDeps maps each predicate consulted by some check rule to the
 	// labels of the constraints / fail() rules depending on it. A flush
 	// whose delta misses this index entirely needs no check evaluation.
-	checkDeps map[string][]string
-	// incrementalChecks gates the delta-seeded constraint check path; it
-	// is on by default and disabled only for A/B measurement.
-	incrementalChecks bool
-	checkStats        CheckStats
+	checkDeps  map[string][]string
+	checkStats CheckStats
 
 	// OnFlush hooks run after a successful flush with the flush's delta;
 	// used by the distribution runtime to ship partitioned tuples without
@@ -266,14 +263,13 @@ type FlushDelta struct {
 // New creates a workspace for the given local principal (the paper's "me").
 func New(principal string) *Workspace {
 	w := &Workspace{
-		principal:         datalog.Sym(principal),
-		db:                datalog.NewDatabase(),
-		base:              datalog.NewDatabase(),
-		builtins:          datalog.NewBuiltinSet(),
-		active:            map[string]*ruleEntry{},
-		decls:             map[string]Decl{},
-		incrementalChecks: true,
-		snapAll:           true,
+		principal: datalog.Sym(principal),
+		db:        datalog.NewDatabase(),
+		base:      datalog.NewDatabase(),
+		builtins:  datalog.NewBuiltinSet(),
+		active:    map[string]*ruleEntry{},
+		decls:     map[string]Decl{},
+		snapAll:   true,
 	}
 	w.model = meta.NewModel(w.db)
 	w.userEv = datalog.NewEvaluator(w.db, w.builtins)
@@ -315,16 +311,6 @@ func (w *Workspace) Limits() (query, flush datalog.Limits) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.queryLimits, w.flushLimits
-}
-
-// SetIncrementalChecks toggles the delta-seeded constraint check path
-// (enabled by default). Disabling forces every flush through the full
-// re-evaluation, as the incremental-vs-full benchmarks and equivalence
-// tests require.
-func (w *Workspace) SetIncrementalChecks(on bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.incrementalChecks = on
 }
 
 // CheckStats reports how constraint checking resolved the flushes so far.
@@ -507,31 +493,6 @@ func (w *Workspace) Query(src string) ([]datalog.Tuple, error) {
 		return w.userEv.Query(atom)
 	}
 	return w.queryPatternLocked(atom)
-}
-
-// QueryStats is Query additionally reporting the read's evaluation cost,
-// with a counting budget always armed (unlimited when no query limits are
-// configured); see Snapshot.QueryStats.
-func (w *Workspace) QueryStats(src string) ([]datalog.Tuple, EvalStats, error) {
-	atom, err := parseQueryAtom(src, w.principal)
-	if err != nil {
-		return nil, EvalStats{Gas: -1, Derived: -1}, err
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	b := w.queryLimits.NewBudget()
-	if b == nil {
-		b = new(datalog.Budget)
-	}
-	w.userEv.Budget = b
-	defer func() { w.userEv.Budget = nil }()
-	var rows []datalog.Tuple
-	if !atomHasQuote(atom) {
-		rows, err = w.userEv.Query(atom)
-	} else {
-		rows, err = queryPatternBudget(w.db, w.builtins, atom, b, w.metrics.evalMetrics())
-	}
-	return rows, EvalStats{Gas: b.Steps(), Derived: b.Derived()}, err
 }
 
 func atomHasQuote(a *datalog.Atom) bool {
