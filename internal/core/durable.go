@@ -182,16 +182,14 @@ func (s *System) logDistEvent(ev dist.Event) {
 	}
 }
 
-// replay rebuilds system state from a recovery result: snapshot first,
-// then the log records in order, then per-workspace finalization.
+// replay rebuilds system state from a recovery result: every record, the
+// snapshot's and then the log's, through applyRecord in order, then
+// per-workspace finalization. One decoder spans the replay, so each
+// rule's canonical text parses once however many records carry it.
 func (s *System) replay(rec *store.Recovered) error {
-	if rec.Snapshot != nil {
-		if err := s.restoreSnapshot(rec.Snapshot); err != nil {
-			return err
-		}
-	}
+	dec := datalog.NewDecoder()
 	for _, r := range rec.Records {
-		if err := s.applyRecord(r, rec.Decoder); err != nil {
+		if err := s.applyRecord(r, dec); err != nil {
 			return err
 		}
 	}
@@ -319,73 +317,52 @@ func (s *System) importKey(k store.KeyRecord) error {
 	return fmt.Errorf("core: unknown key record kind %q", k.Kind)
 }
 
-// restoreSnapshot loads a full system image.
-func (s *System) restoreSnapshot(snap *store.Snapshot) error {
-	for _, n := range snap.System.Nodes {
-		if _, err := s.restoreNode(n); err != nil {
-			return err
-		}
-	}
-	wsByName := map[string]*workspace.WorkspaceState{}
-	for _, st := range snap.Workspaces {
-		wsByName[st.Principal] = st
-	}
-	for _, ps := range snap.System.Principals {
-		p, err := s.restorePrincipal(ps.Name, ps.Node)
+// applyRecord replays one record, from a snapshot or from the log: the
+// two hold the same kinds, and replay is ordered and idempotent, so a
+// change that is in both lands once.
+func (s *System) applyRecord(r *store.Record, dec *datalog.Decoder) error {
+	switch r.Kind {
+	case store.KindSnapBegin:
+		// The shipped set's generation counter rides on the bracket; the
+		// ship records that follow carry only their own generations.
+		gen, err := store.DecodeSnapBegin(r)
 		if err != nil {
 			return err
 		}
-		if ps.Scheme != "" {
-			if err := p.adoptScheme(Scheme(ps.Scheme)); err != nil {
-				return err
-			}
-		}
-		if st, ok := wsByName[ps.Name]; ok {
-			if err := p.ws.RestoreState(st); err != nil {
-				return err
-			}
-		}
-	}
-	for _, k := range snap.System.Keys {
-		if err := s.importKey(k); err != nil {
+		s.runtime.RestoreShipped(gen, nil)
+		return nil
+	case store.KindNode:
+		name, err := r.Field(0)
+		if err != nil {
 			return err
 		}
-	}
-	for _, m := range snap.System.DeliveryMaps {
-		s.runtime.SetDeliveryMap(m[0], m[1])
-	}
-	ships := make([]dist.ShipState, len(snap.System.Ships))
-	for i, sh := range snap.System.Ships {
-		ships[i] = dist.ShipState{Key: sh.Key, Sender: sh.Sender, Target: sh.Target, Gen: sh.Gen}
-	}
-	s.runtime.RestoreShipped(snap.System.Gen, ships)
-	return nil
-}
-
-// applyRecord replays one WAL record.
-func (s *System) applyRecord(r *store.Record, dec *datalog.Decoder) error {
-	switch r.Kind {
-	case store.KindNode:
-		if len(r.Fields) < 1 {
-			return fmt.Errorf("core: node record missing name")
-		}
-		_, err := s.restoreNode(r.Fields[0])
+		_, err = s.restoreNode(name)
 		return err
 	case store.KindPrin:
-		if len(r.Fields) < 2 {
-			return fmt.Errorf("core: prin record missing fields")
+		name, err := r.Field(0)
+		if err != nil {
+			return err
 		}
-		_, err := s.restorePrincipal(r.Fields[0], r.Fields[1])
+		node, err := r.Field(1)
+		if err != nil {
+			return err
+		}
+		_, err = s.restorePrincipal(name, node)
 		return err
 	case store.KindScheme:
-		if len(r.Fields) < 2 {
-			return fmt.Errorf("core: scheme record missing fields")
+		name, err := r.Field(0)
+		if err != nil {
+			return err
 		}
-		p, ok := s.principals[r.Fields[0]]
+		scheme, err := r.Field(1)
+		if err != nil {
+			return err
+		}
+		p, ok := s.principals[name]
 		if !ok {
-			return fmt.Errorf("core: scheme record for unknown principal %s", r.Fields[0])
+			return fmt.Errorf("core: scheme record for unknown principal %s", name)
 		}
-		return p.adoptScheme(Scheme(r.Fields[1]))
+		return p.adoptScheme(Scheme(scheme))
 	case store.KindKey:
 		k, err := store.DecodeKey(r)
 		if err != nil {
@@ -393,29 +370,31 @@ func (s *System) applyRecord(r *store.Record, dec *datalog.Decoder) error {
 		}
 		return s.importKey(k)
 	case store.KindMap:
-		if len(r.Fields) < 2 {
-			return fmt.Errorf("core: map record missing fields")
-		}
-		s.runtime.SetDeliveryMap(r.Fields[0], r.Fields[1])
-		return nil
-	case store.KindReset:
-		if len(r.Fields) < 1 {
-			return fmt.Errorf("core: reset record missing target")
-		}
-		s.runtime.ResetDeliveries(r.Fields[0])
-		return nil
-	case store.KindShip:
-		recs, err := store.DecodeShips(r)
+		src, err := r.Field(0)
 		if err != nil {
 			return err
 		}
-		ships := make([]dist.ShipState, len(recs))
+		dst, err := r.Field(1)
+		if err != nil {
+			return err
+		}
+		s.runtime.SetDeliveryMap(src, dst)
+		return nil
+	case store.KindReset:
+		target, err := r.Field(0)
+		if err != nil {
+			return err
+		}
+		s.runtime.ResetDeliveries(target)
+		return nil
+	case store.KindShip:
+		ships, err := store.DecodeShips(r)
+		if err != nil {
+			return err
+		}
 		var maxGen uint64
-		for i, sh := range recs {
-			ships[i] = dist.ShipState{Key: sh.Key, Sender: sh.Sender, Target: sh.Target, Gen: sh.Gen}
-			if sh.Gen > maxGen {
-				maxGen = sh.Gen
-			}
+		for _, sh := range ships {
+			maxGen = max(maxGen, sh.Gen)
 		}
 		s.runtime.RestoreShipped(maxGen, ships)
 		return nil
@@ -433,13 +412,16 @@ func (s *System) applyRecord(r *store.Record, dec *datalog.Decoder) error {
 	return fmt.Errorf("core: unknown log record kind %q", r.Kind)
 }
 
-// captureSnapshot builds a full system image. The runtime's shipped set
-// is captured before the workspaces: if a delivery commits in between,
-// the snapshot holds the receiver's tuple without its ship record, and
-// recovery merely re-ships it (receivers apply deliveries idempotently);
-// the opposite order could record a shipment whose delivery was never
-// captured — a lost tuple.
-func (s *System) captureSnapshot() (*store.Snapshot, error) {
+// captureSnapshot renders the whole system as the records that recreate
+// it — the body of a snapshot file, in replay order: nodes, principals
+// with their schemes and keys, delivery maps, the shipped set, then each
+// workspace's captured journals. The runtime's shipped set is captured
+// before the workspaces: if a delivery commits in between, the snapshot
+// holds the receiver's tuple without its ship record, and recovery merely
+// re-ships it (receivers apply deliveries idempotently); the opposite
+// order could record a shipment whose delivery was never captured — a
+// lost tuple.
+func (s *System) captureSnapshot() (gen uint64, payloads [][]byte, err error) {
 	rt := s.runtime.CaptureState()
 	s.mu.Lock()
 	names := append([]string{}, s.order...)
@@ -460,35 +442,40 @@ func (s *System) captureSnapshot() (*store.Snapshot, error) {
 	}
 	s.mu.Unlock()
 
-	snap := &store.Snapshot{}
-	snap.System.Nodes = s.runtime.Nodes()
-	for _, m := range rt.DeliveryMaps {
-		snap.System.DeliveryMaps = append(snap.System.DeliveryMaps, m)
+	add := func(r *store.Record) { payloads = append(payloads, r.Encode()) }
+	for _, n := range s.runtime.Nodes() {
+		add(&store.Record{Kind: store.KindNode, Fields: []string{n}})
 	}
-	for _, sh := range rt.Ships {
-		snap.System.Ships = append(snap.System.Ships, store.ShipRecord{Key: sh.Key, Sender: sh.Sender, Target: sh.Target, Gen: sh.Gen})
-	}
-	snap.System.Gen = rt.Gen
-	sharedSeen := map[string]bool{}
+	// Every principal exists before any key is imported: replaying an RSA
+	// private key hands its public half to all the others.
 	for i, p := range principals {
-		snap.System.Principals = append(snap.System.Principals, store.PrincipalState{
-			Name:   names[i],
-			Node:   nodeOf[names[i]],
-			Scheme: string(p.scheme),
-		})
+		add(&store.Record{Kind: store.KindPrin, Fields: []string{names[i], nodeOf[names[i]]}})
+		add(&store.Record{Kind: store.KindScheme, Fields: []string{names[i], string(p.scheme)}})
+	}
+	sharedSeen := map[string]bool{}
+	for _, p := range principals {
 		if der, ok := p.keys.ExportRSAPrivate(p.name); ok {
-			snap.System.Keys = append(snap.System.Keys, store.KeyRecord{Kind: "rsa-priv", Name: p.name, Data: der})
+			add(store.EncodeKey(store.KeyRecord{Kind: "rsa-priv", Name: p.name, Data: der}))
 		}
 		for pair, secret := range p.keys.ExportShared() {
-			if sharedSeen[pair] {
-				continue
+			if !sharedSeen[pair] {
+				sharedSeen[pair] = true
+				add(store.EncodeKey(store.KeyRecord{Kind: "shared", Name: pair, Data: secret}))
 			}
-			sharedSeen[pair] = true
-			snap.System.Keys = append(snap.System.Keys, store.KeyRecord{Kind: "shared", Name: pair, Data: secret})
 		}
-		snap.Workspaces = append(snap.Workspaces, p.ws.CaptureState())
 	}
-	return snap, nil
+	for _, m := range rt.DeliveryMaps {
+		add(&store.Record{Kind: store.KindMap, Fields: []string{m[0], m[1]}})
+	}
+	if len(rt.Ships) > 0 {
+		payloads = append(payloads, store.AppendShipsPayload(nil, rt.Ships))
+	}
+	for _, p := range principals {
+		for _, j := range p.ws.CaptureJournal() {
+			payloads = append(payloads, store.EncodeFlushPayload(p.name, j))
+		}
+	}
+	return rt.Gen, payloads, nil
 }
 
 // Checkpoint writes a compacting snapshot of the whole system and rotates

@@ -2,7 +2,10 @@ package core
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"lbtrust/internal/store"
@@ -249,5 +252,54 @@ func TestRecoverAfterRetraction(t *testing.T) {
 	}
 	if got := queryStrings(t, alice2, "path(X,Y)"); len(got) != 6 {
 		t.Errorf("paths after re-assert = %d, want 6", len(got))
+	}
+}
+
+// copyFixture copies one testdata/v1 file — written by the build before
+// snapshot format version 2 — into dir.
+func copyFixture(t *testing.T, name, dir string) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "v1", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, name), data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestV1SnapshotRefused: replace, not fork. A version 1 snapshot (ws-*
+// records) is well-formed, so recovery does not fall back from it; the
+// one interpreter refuses it with an error naming both versions.
+func TestV1SnapshotRefused(t *testing.T) {
+	dir := t.TempDir()
+	copyFixture(t, "snap-00000001.snap", dir)
+	sys, err := OpenSystem(dir, DurableOptions{})
+	if err == nil {
+		sys.Close()
+		t.Fatal("OpenSystem accepted a version 1 snapshot")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "version 1 ") || !strings.Contains(msg, "version 2 ") {
+		t.Errorf("refusal does not name both versions: %v", err)
+	}
+}
+
+// TestV1LogStillOpens: the flush record only gained op lines, so a
+// directory the earlier build never checkpointed replays as it always
+// did.
+func TestV1LogStillOpens(t *testing.T) {
+	dir := t.TempDir()
+	copyFixture(t, "wal-00000000.log", dir)
+	sys, err := OpenSystem(dir, DurableOptions{})
+	if err != nil {
+		t.Fatalf("OpenSystem on a version 1 log: %v", err)
+	}
+	defer sys.Close()
+	alice, ok := sys.Principal("alice")
+	if !ok {
+		t.Fatal("alice not recovered")
+	}
+	if got := queryStrings(t, alice, "greeting(X)"); len(got) != 1 {
+		t.Errorf("recovered greetings = %v, want the one logged", got)
 	}
 }

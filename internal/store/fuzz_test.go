@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lbtrust/internal/datalog"
+	"lbtrust/internal/workspace"
 )
 
 // FuzzReadFrames feeds arbitrary bytes to the log scanner: it must never
@@ -46,6 +47,54 @@ func FuzzReadFrames(f *testing.F) {
 			if r.Kind == KindFlush {
 				_, _, _ = DecodeFlush(r)
 			}
+		}
+	})
+}
+
+// FuzzDecodeFlush feeds arbitrary payloads to the flush codec, which
+// carries all durable workspace state — log flushes and snapshot captures
+// alike. It must never panic, and a journal it accepts must re-encode to
+// a fixed point: encode(decode(p)) decodes again, and encodes to the same
+// bytes.
+func FuzzDecodeFlush(f *testing.F) {
+	f.Add(EncodeFlushPayload("alice", testJournal()))
+	f.Add(EncodeFlushPayload("bob", captureJournal()))
+	f.Add(EncodeFlushPayload("carol", &workspace.FlushJournal{Rebuilt: true}))
+	for _, s := range []string{
+		"flush \"alice\" \"0\"\naux 3\ndecl \"p\" 2 1",
+		"flush \"alice\" \"0\"\naux -1",
+		"flush \"alice\" \"0\"\naux 1x",
+		"flush \"alice\" \"0\"\ndecl \"p\" 2",
+		"flush \"alice\" \"0\"\ndecl \"p\" -2 0",
+		"flush \"alice\" \"0\"\ndecl p 2 0",
+		"flush \"alice\" \"0\"\n+ \"p\" y\"a\"\t",
+		"flush \"alice\" \"0\"\nr+ \"alice\" 1 \"p(X) <- q(X).\"",
+		"flush \"alice\" \"0\"\nc+ 2x \"l\" \"p(V0)->q(V0).\"",
+		"flush \"alice\"",
+		"node \"n1\"",
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		r, err := parseRecord(payload)
+		if err != nil {
+			return
+		}
+		principal, j, err := DecodeFlush(r)
+		if err != nil {
+			return
+		}
+		enc := EncodeFlushPayload(principal, j)
+		r2, err := parseRecord(enc)
+		if err != nil {
+			t.Fatalf("re-parse of %q (from %q): %v", enc, payload, err)
+		}
+		principal2, j2, err := DecodeFlush(r2)
+		if err != nil {
+			t.Fatalf("re-decode of %q (from %q): %v", enc, payload, err)
+		}
+		if again := EncodeFlushPayload(principal2, j2); !bytes.Equal(again, enc) {
+			t.Fatalf("not a fixed point:\n%q\nthen\n%q", enc, again)
 		}
 	})
 }

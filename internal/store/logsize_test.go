@@ -46,7 +46,7 @@ func TestLogSizeAndNoWaitDurability(t *testing.T) {
 	// Checkpoint rotates: the new segment starts empty and the
 	// generation advances.
 	seq := st.Seq()
-	if err := st.Checkpoint(func() (*Snapshot, error) { return &Snapshot{}, nil }); err != nil {
+	if err := st.Checkpoint(nodeSnapshot()); err != nil {
 		t.Fatal(err)
 	}
 	if st.Seq() != seq+1 {

@@ -1,33 +1,41 @@
 package store
 
 import (
+	"encoding/base64"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
 	"lbtrust/internal/datalog"
+	"lbtrust/internal/dist"
 	"lbtrust/internal/workspace"
 )
 
 // Record is one logical entry of the write-ahead log and of snapshot
 // files: a kind, a list of header fields, and zero or more body lines.
 // Fields are strconv-quoted on the header line; body lines are the
-// newline-free encodings of record.go's codecs (tagged tuple lines,
-// canonical rule text, base64 key material), so a record serializes as
-// plain text inside its CRC frame:
+// newline-free encodings of this file's codecs (flush op lines over
+// tagged tuple lines and canonical rule text, ship lines, base64 key
+// material), so a record serializes as plain text inside its CRC frame:
 //
-//	flush "alice" 0
+//	flush "alice" "0"
 //	+ "says" y"alice"\ty"bob"\tc"…"
 //	…
+//
+// There is one vocabulary. A snapshot file is a bracketed stream of the
+// same records the log carries — a compacted log: snap-begin, the node,
+// prin, scheme, map, key and ship records that recreate the system
+// around the workspaces, each workspace's state as flush records
+// (workspace.CaptureJournal), snap-end. Recovery hands the snapshot's
+// records and then the log's to one interpreter.
 type Record struct {
 	Kind   string
 	Fields []string
 	Lines  []string
 }
 
-// Record kinds. Workspace flushes and distribution events go to the WAL;
-// snapshot files reuse the same kinds plus the ws-* state records,
-// bracketed by snap-begin/snap-end.
+// Record kinds.
 const (
 	KindFlush  = "flush"  // fields: principal, rebuilt; lines: flush ops
 	KindNode   = "node"   // fields: node name
@@ -38,19 +46,21 @@ const (
 	KindShip   = "ship"   // lines: shipped-set records
 	KindReset  = "reset"  // fields: target principal
 
-	KindSnapBegin = "snap-begin" // fields: format version
+	// The snapshot bracket. snap-end is the commit marker: a snapshot file
+	// without it (a crash mid-write, even though snapshots are written to
+	// a temp file and renamed) is ignored by recovery.
+	KindSnapBegin = "snap-begin" // fields: format version, shipped-set generation
 	KindSnapEnd   = "snap-end"
-	KindWS        = "ws"       // fields: principal, auxSeq
-	KindWSDecls   = "ws-decls" // fields: principal; lines: name arity partitioned
-	KindWSRules   = "ws-rules" // fields: principal; lines: owner derived code
-	KindWSCons    = "ws-cons"  // fields: principal; lines: auxID label source
-	KindWSRel     = "ws-rel"   // fields: principal, base|derived, name, arity, partitioned; lines: tuples
 )
 
-// snapshotVersion versions the snapshot/WAL record format.
-const snapshotVersion = 1
+// snapshotVersion versions the snapshot file format. Version 1 wrote
+// workspace state as ws-* records with their own reader; version 2 writes
+// it as flush records. There is no dual reader: DecodeSnapBegin refuses
+// any other version.
+const snapshotVersion = 2
 
-func (r *Record) encode() []byte {
+// Encode renders the record as a log/snapshot payload.
+func (r *Record) Encode() []byte {
 	var b strings.Builder
 	b.WriteString(r.Kind)
 	for _, f := range r.Fields {
@@ -90,12 +100,41 @@ func parseRecord(payload []byte) (*Record, error) {
 	return r, nil
 }
 
-// field returns field i or an error naming the record kind.
-func (r *Record) field(i int) (string, error) {
+// Field returns header field i or an error naming the record kind.
+func (r *Record) Field(i int) (string, error) {
 	if i >= len(r.Fields) {
 		return "", fmt.Errorf("store: %s record missing field %d", r.Kind, i)
 	}
 	return r.Fields[i], nil
+}
+
+// snapBegin opens a snapshot file. gen is the distribution runtime's
+// shipped-set generation at capture time, which no ship record carries.
+func snapBegin(gen uint64) *Record {
+	return &Record{Kind: KindSnapBegin, Fields: []string{
+		strconv.Itoa(snapshotVersion), strconv.FormatUint(gen, 10),
+	}}
+}
+
+// DecodeSnapBegin checks a snap-begin record's format version and returns
+// the shipped-set generation it carries.
+func DecodeSnapBegin(r *Record) (gen uint64, err error) {
+	v, err := r.Field(0)
+	if err != nil {
+		return 0, err
+	}
+	if v != strconv.Itoa(snapshotVersion) {
+		return 0, fmt.Errorf("store: snapshot format version %s is not supported (this build reads and writes version %d only)", v, snapshotVersion)
+	}
+	genText, err := r.Field(1)
+	if err != nil {
+		return 0, err
+	}
+	gen, err = strconv.ParseUint(genText, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("store: bad snapshot generation %q: %w", genText, err)
+	}
+	return gen, nil
 }
 
 // ---- flush journal codec ----------------------------------------------------
@@ -109,6 +148,10 @@ const (
 	opRuleDel = "r-"
 	opConsAdd = "c+"
 	opConsDel = "c-"
+	// Written only for captured journals (workspace.CaptureJournal), so an
+	// ordinary flush record's bytes are what they always were.
+	opAuxSeq = "aux"
+	opDecl   = "decl"
 )
 
 // EncodeFlushPayload renders one workspace flush journal as a WAL record
@@ -146,6 +189,25 @@ func AppendFlushPayload(dst []byte, principal string, j *workspace.FlushJournal)
 			for _, t := range m[pred] {
 				addFact(op, workspace.FactChange{Pred: pred, Tuple: t})
 			}
+		}
+	}
+	if j.AuxSeq != 0 {
+		buf = append(buf, '\n')
+		buf = append(buf, opAuxSeq...)
+		buf = append(buf, ' ')
+		buf = strconv.AppendInt(buf, int64(j.AuxSeq), 10)
+	}
+	for _, d := range j.Decls {
+		buf = append(buf, '\n')
+		buf = append(buf, opDecl...)
+		buf = append(buf, ' ')
+		buf = strconv.AppendQuote(buf, d.Name)
+		buf = append(buf, ' ')
+		buf = strconv.AppendInt(buf, int64(d.Arity), 10)
+		if d.Partitioned {
+			buf = append(buf, " 1"...)
+		} else {
+			buf = append(buf, " 0"...)
 		}
 	}
 	for _, op := range j.Schema {
@@ -203,11 +265,11 @@ func DecodeFlushWith(r *Record, dec *datalog.Decoder) (principal string, j *work
 	if r.Kind != KindFlush {
 		return "", nil, fmt.Errorf("store: record kind %s is not a flush", r.Kind)
 	}
-	principal, err = r.field(0)
+	principal, err = r.Field(0)
 	if err != nil {
 		return "", nil, err
 	}
-	rebuilt, err := r.field(1)
+	rebuilt, err := r.Field(1)
 	if err != nil {
 		return "", nil, err
 	}
@@ -315,6 +377,27 @@ func DecodeFlushWith(r *Record, dec *datalog.Decoder) (principal string, j *work
 				break
 			}
 			j.Schema = append(j.Schema, workspace.SchemaChange{Kind: workspace.SchemaConstraintRemove, Label: label})
+		case opAuxSeq:
+			j.AuxSeq, err = strconv.Atoi(rest)
+			if err == nil && j.AuxSeq < 0 {
+				err = fmt.Errorf("store: negative aux sequence %d", j.AuxSeq)
+			}
+		case opDecl:
+			var d workspace.Decl
+			var rest2 string
+			if d.Name, rest2, err = quotedField(rest); err != nil {
+				break
+			}
+			arityText, part, _ := strings.Cut(strings.TrimPrefix(rest2, " "), " ")
+			if d.Arity, err = strconv.Atoi(arityText); err != nil {
+				break
+			}
+			if d.Arity < 0 || (part != "0" && part != "1") {
+				err = fmt.Errorf("store: bad declaration")
+				break
+			}
+			d.Partitioned = part == "1"
+			j.Decls = append(j.Decls, d)
 		default:
 			err = fmt.Errorf("store: unknown flush op %q", op)
 		}
@@ -342,224 +425,16 @@ func sortedKeys(m map[string][]datalog.Tuple) []string {
 	for k := range m {
 		out = append(out, k)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-// ---- workspace state codec --------------------------------------------------
-
-// encodeWorkspaceState renders one workspace snapshot as records.
-func encodeWorkspaceState(st *workspace.WorkspaceState) []*Record {
-	out := []*Record{{
-		Kind:   KindWS,
-		Fields: []string{st.Principal, strconv.Itoa(st.AuxSeq)},
-	}}
-	if len(st.Decls) > 0 {
-		r := &Record{Kind: KindWSDecls, Fields: []string{st.Principal}}
-		for _, d := range st.Decls {
-			r.Lines = append(r.Lines, fmt.Sprintf("%s %d %s", strconv.Quote(d.Name), d.Arity, boolStr(d.Partitioned)))
-		}
-		out = append(out, r)
-	}
-	if len(st.Constraints) > 0 {
-		r := &Record{Kind: KindWSCons, Fields: []string{st.Principal}}
-		for _, c := range st.Constraints {
-			r.Lines = append(r.Lines, fmt.Sprintf("%d %s %s", c.AuxID, strconv.Quote(c.Label), strconv.Quote(c.Source)))
-		}
-		out = append(out, r)
-	}
-	if len(st.Rules) > 0 {
-		r := &Record{Kind: KindWSRules, Fields: []string{st.Principal}}
-		for _, rc := range st.Rules {
-			r.Lines = append(r.Lines, strconv.Quote(string(rc.Owner))+" "+boolStr(rc.Derived)+" "+strconv.Quote(string(rc.Code.Canonical())))
-		}
-		out = append(out, r)
-	}
-	rel := func(section string, rs workspace.RelationState) *Record {
-		r := &Record{Kind: KindWSRel, Fields: []string{
-			st.Principal, section, rs.Name, strconv.Itoa(rs.Arity), boolStr(rs.Partitioned),
-		}}
-		for _, t := range rs.Tuples {
-			r.Lines = append(r.Lines, datalog.EncodeTupleLine(t))
-		}
-		return r
-	}
-	for _, rs := range st.Base {
-		out = append(out, rel("base", rs))
-	}
-	for _, rs := range st.Derived {
-		out = append(out, rel("derived", rs))
-	}
-	return out
-}
-
-func boolStr(b bool) string {
-	if b {
-		return "1"
-	}
-	return "0"
-}
-
-// wsBuilder accumulates ws-* records into WorkspaceStates, preserving the
-// order workspaces appear in the snapshot.
-type wsBuilder struct {
-	states map[string]*workspace.WorkspaceState
-	order  []string
-	dec    *datalog.Decoder
-}
-
-func newWSBuilder(dec *datalog.Decoder) *wsBuilder {
-	return &wsBuilder{states: map[string]*workspace.WorkspaceState{}, dec: dec}
-}
-
-func (b *wsBuilder) get(principal string) *workspace.WorkspaceState {
-	if st, ok := b.states[principal]; ok {
-		return st
-	}
-	st := &workspace.WorkspaceState{Principal: principal}
-	b.states[principal] = st
-	b.order = append(b.order, principal)
-	return st
-}
-
-func (b *wsBuilder) apply(r *Record) error {
-	principal, err := r.field(0)
-	if err != nil {
-		return err
-	}
-	st := b.get(principal)
-	switch r.Kind {
-	case KindWS:
-		seqText, err := r.field(1)
-		if err != nil {
-			return err
-		}
-		st.AuxSeq, err = strconv.Atoi(seqText)
-		return err
-	case KindWSDecls:
-		for _, line := range r.Lines {
-			name, rest, err := quotedField(line)
-			if err != nil {
-				return err
-			}
-			parts := strings.Fields(rest)
-			if len(parts) != 2 {
-				return fmt.Errorf("store: bad decl line %q", line)
-			}
-			arity, err := strconv.Atoi(parts[0])
-			if err != nil {
-				return err
-			}
-			st.Decls = append(st.Decls, workspace.Decl{Name: name, Arity: arity, Partitioned: parts[1] == "1"})
-		}
-	case KindWSCons:
-		for _, line := range r.Lines {
-			auxText, rest, _ := strings.Cut(line, " ")
-			auxID, err := strconv.Atoi(auxText)
-			if err != nil {
-				return fmt.Errorf("store: bad constraint line %q: %w", line, err)
-			}
-			label, rest, err := quotedField(rest)
-			if err != nil {
-				return err
-			}
-			source, _, err := quotedField(strings.TrimPrefix(rest, " "))
-			if err != nil {
-				return err
-			}
-			st.Constraints = append(st.Constraints, workspace.ConstraintChange{AuxID: auxID, Label: label, Source: source})
-		}
-	case KindWSRules:
-		for _, line := range r.Lines {
-			owner, rest, err := quotedField(line)
-			if err != nil {
-				return err
-			}
-			rest = strings.TrimPrefix(rest, " ")
-			derived, rest, _ := strings.Cut(rest, " ")
-			codeText, _, err := quotedField(rest)
-			if err != nil {
-				return err
-			}
-			code, err := b.dec.Code(codeText)
-			if err != nil {
-				return err
-			}
-			st.Rules = append(st.Rules, workspace.RuleChange{Code: code, Owner: datalog.Sym(owner), Derived: derived == "1"})
-		}
-	case KindWSRel:
-		if len(r.Fields) < 5 {
-			return fmt.Errorf("store: ws-rel record missing fields")
-		}
-		arity, err := strconv.Atoi(r.Fields[3])
-		if err != nil {
-			return err
-		}
-		rs := workspace.RelationState{Name: r.Fields[2], Arity: arity, Partitioned: r.Fields[4] == "1"}
-		for _, line := range r.Lines {
-			t, err := b.dec.DecodeTupleLine(line)
-			if err != nil {
-				return fmt.Errorf("store: relation %s: %w", rs.Name, err)
-			}
-			if t.Len() != arity {
-				return fmt.Errorf("store: relation %s: tuple arity %d, want %d", rs.Name, t.Len(), arity)
-			}
-			rs.Tuples = append(rs.Tuples, t)
-		}
-		switch r.Fields[1] {
-		case "base":
-			st.Base = append(st.Base, rs)
-		case "derived":
-			st.Derived = append(st.Derived, rs)
-		default:
-			return fmt.Errorf("store: unknown relation section %q", r.Fields[1])
-		}
-	default:
-		return fmt.Errorf("store: unknown workspace record %s", r.Kind)
-	}
-	return nil
-}
-
-func (b *wsBuilder) states2() []*workspace.WorkspaceState {
-	out := make([]*workspace.WorkspaceState, 0, len(b.order))
-	for _, p := range b.order {
-		out = append(out, b.states[p])
-	}
+	slices.Sort(out)
 	return out
 }
 
 // ---- distribution / system codecs -------------------------------------------
 
-// ShipRecord mirrors one shipped-set entry of the distribution runtime.
-type ShipRecord struct {
-	Key    string
-	Sender string
-	Target string
-	Gen    uint64
-}
-
-// EncodeShips renders shipped-set records (a pump round's worth, or a
-// snapshot's whole set) as one WAL record.
-func EncodeShips(ships []ShipRecord) *Record {
-	r := &Record{Kind: KindShip}
-	for _, s := range ships {
-		r.Lines = append(r.Lines, string(appendShipLine(nil, s)))
-	}
-	return r
-}
-
-// EncodeShipsPayload is the direct-buffer form of EncodeShips, used on
-// the Sync hot path.
-func EncodeShipsPayload(ships []ShipRecord) []byte {
-	return AppendShipsPayload(nil, ships)
-}
-
-// AppendShipsPayload appends the ship record payload to dst.
-func AppendShipsPayload(dst []byte, ships []ShipRecord) []byte {
+// AppendShipsPayload appends to dst the payload of one ship record
+// carrying the given shipped-set records (a pump round's worth, or a
+// snapshot's whole set).
+func AppendShipsPayload(dst []byte, ships []dist.ShipState) []byte {
 	buf := append(dst, KindShip...)
 	for _, s := range ships {
 		buf = append(buf, '\n')
@@ -568,7 +443,7 @@ func AppendShipsPayload(dst []byte, ships []ShipRecord) []byte {
 	return buf
 }
 
-func appendShipLine(buf []byte, s ShipRecord) []byte {
+func appendShipLine(buf []byte, s dist.ShipState) []byte {
 	buf = strconv.AppendQuote(buf, s.Key)
 	buf = append(buf, ' ')
 	buf = strconv.AppendQuote(buf, s.Sender)
@@ -579,8 +454,8 @@ func appendShipLine(buf []byte, s ShipRecord) []byte {
 }
 
 // DecodeShips parses a ship record.
-func DecodeShips(r *Record) ([]ShipRecord, error) {
-	var out []ShipRecord
+func DecodeShips(r *Record) ([]dist.ShipState, error) {
+	var out []dist.ShipState
 	for _, line := range r.Lines {
 		if line == "" {
 			continue
@@ -601,7 +476,7 @@ func DecodeShips(r *Record) ([]ShipRecord, error) {
 		if err != nil {
 			return nil, fmt.Errorf("store: bad ship generation in %q: %w", line, err)
 		}
-		out = append(out, ShipRecord{Key: key, Sender: sender, Target: target, Gen: gen})
+		out = append(out, dist.ShipState{Key: key, Sender: sender, Target: target, Gen: gen})
 	}
 	return out, nil
 }
@@ -612,4 +487,33 @@ type KeyRecord struct {
 	Kind string
 	Name string
 	Data []byte
+}
+
+// EncodeKey renders key material as a record.
+func EncodeKey(k KeyRecord) *Record {
+	return &Record{
+		Kind:   KindKey,
+		Fields: []string{k.Kind, k.Name},
+		Lines:  []string{base64.StdEncoding.EncodeToString(k.Data)},
+	}
+}
+
+// DecodeKey parses a key record.
+func DecodeKey(r *Record) (KeyRecord, error) {
+	kind, err := r.Field(0)
+	if err != nil {
+		return KeyRecord{}, err
+	}
+	name, err := r.Field(1)
+	if err != nil {
+		return KeyRecord{}, err
+	}
+	if len(r.Lines) != 1 {
+		return KeyRecord{}, fmt.Errorf("store: key record for %s has %d body lines", name, len(r.Lines))
+	}
+	data, err := base64.StdEncoding.DecodeString(r.Lines[0])
+	if err != nil {
+		return KeyRecord{}, fmt.Errorf("store: key record for %s: %w", name, err)
+	}
+	return KeyRecord{Kind: kind, Name: name, Data: data}, nil
 }

@@ -1,232 +1,46 @@
 package store
 
 import (
-	"encoding/base64"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
-
-	"lbtrust/internal/datalog"
-	"lbtrust/internal/workspace"
 )
 
-// SystemState is the distribution- and identity-level half of a snapshot:
-// everything outside the workspaces that a recovered system needs.
-type SystemState struct {
-	// Nodes in creation order.
-	Nodes []string
-	// Principals in creation order, each with its hosting node and active
-	// authentication scheme.
-	Principals []PrincipalState
-	// DeliveryMaps lists source→destination predicate routes.
-	DeliveryMaps [][2]string
-	// Ships is the shipped-tuple suppression set: restoring it is what
-	// keeps recovery from re-delivering everything on the first Sync.
-	Ships []ShipRecord
-	// Keys is the cryptographic key material (RSA pairs, shared secrets).
-	Keys []KeyRecord
-	// Gen is the shipped set's generation counter at capture time.
-	Gen uint64
-}
-
-// PrincipalState describes one principal's placement and scheme.
-type PrincipalState struct {
-	Name   string
-	Node   string
-	Scheme string
-}
-
-// Snapshot is a full system image: system state plus every workspace.
-type Snapshot struct {
-	System     SystemState
-	Workspaces []*workspace.WorkspaceState
-}
-
-// encodeSnapshot renders a snapshot as a record stream. The snap-end
-// record is the commit marker: a file without it (a crash mid-write, even
-// though snapshots are written to a temp file and renamed) is ignored by
-// recovery.
-func encodeSnapshot(s *Snapshot) [][]byte {
-	var records []*Record
-	records = append(records, &Record{Kind: KindSnapBegin, Fields: []string{
-		strconv.Itoa(snapshotVersion), strconv.FormatUint(s.System.Gen, 10),
-	}})
-	for _, n := range s.System.Nodes {
-		records = append(records, &Record{Kind: KindNode, Fields: []string{n}})
-	}
-	for _, p := range s.System.Principals {
-		records = append(records, &Record{Kind: KindPrin, Fields: []string{p.Name, p.Node}})
-		if p.Scheme != "" {
-			records = append(records, &Record{Kind: KindScheme, Fields: []string{p.Name, p.Scheme}})
-		}
-	}
-	for _, m := range s.System.DeliveryMaps {
-		records = append(records, &Record{Kind: KindMap, Fields: []string{m[0], m[1]}})
-	}
-	for _, k := range s.System.Keys {
-		records = append(records, EncodeKey(k))
-	}
-	if len(s.System.Ships) > 0 {
-		records = append(records, EncodeShips(s.System.Ships))
-	}
-	for _, ws := range s.Workspaces {
-		records = append(records, encodeWorkspaceState(ws)...)
-	}
-	records = append(records, &Record{Kind: KindSnapEnd})
-	out := make([][]byte, len(records))
-	for i, r := range records {
-		out[i] = r.encode()
-	}
-	return out
-}
-
-// EncodeKey renders key material as a record.
-func EncodeKey(k KeyRecord) *Record {
-	return &Record{
-		Kind:   KindKey,
-		Fields: []string{k.Kind, k.Name},
-		Lines:  []string{base64.StdEncoding.EncodeToString(k.Data)},
-	}
-}
-
-// DecodeKey parses a key record.
-func DecodeKey(r *Record) (KeyRecord, error) {
-	kind, err := r.field(0)
+// readRecords is the one frames → records reader, shared by snapshot
+// files and log segments. It stops at the first frame that is torn,
+// fails its CRC, or — having framed correctly — no longer parses as a
+// record, and reports the byte offset at which that frame starts: the
+// length of the usable prefix, which is where a tip log segment is
+// truncated so that new appends follow the last good record.
+func readRecords(r io.Reader) (records []*Record, good int64, torn bool, err error) {
+	payloads, _, torn, err := readFrames(r)
 	if err != nil {
-		return KeyRecord{}, err
+		return nil, 0, false, err
 	}
-	name, err := r.field(1)
-	if err != nil {
-		return KeyRecord{}, err
+	for _, p := range payloads {
+		rec, perr := parseRecord(p)
+		if perr != nil {
+			return records, good, true, nil
+		}
+		records = append(records, rec)
+		good += frameHeaderSize + int64(len(p))
 	}
-	if len(r.Lines) != 1 {
-		return KeyRecord{}, fmt.Errorf("store: key record for %s has %d body lines", name, len(r.Lines))
-	}
-	data, err := base64.StdEncoding.DecodeString(r.Lines[0])
-	if err != nil {
-		return KeyRecord{}, fmt.Errorf("store: key record for %s: %w", name, err)
-	}
-	return KeyRecord{Kind: kind, Name: name, Data: data}, nil
+	return records, good, torn, nil
 }
 
-// decodeSnapshot rebuilds a Snapshot from a record stream. It fails
-// unless the stream starts with snap-begin and ends with snap-end (the
-// commit marker).
-func decodeSnapshot(payloads [][]byte, dec *datalog.Decoder) (*Snapshot, error) {
-	if len(payloads) == 0 {
-		return nil, fmt.Errorf("store: empty snapshot")
-	}
-	s := &Snapshot{}
-	ws := newWSBuilder(dec)
-	ended := false
-	for i, payload := range payloads {
-		r, err := parseRecord(payload)
-		if err != nil {
-			return nil, err
-		}
-		if i == 0 {
-			if r.Kind != KindSnapBegin {
-				return nil, fmt.Errorf("store: snapshot starts with %s, want %s", r.Kind, KindSnapBegin)
-			}
-			v, err := r.field(0)
-			if err != nil {
-				return nil, err
-			}
-			if v != strconv.Itoa(snapshotVersion) {
-				return nil, fmt.Errorf("store: unsupported snapshot version %s", v)
-			}
-			if len(r.Fields) > 1 {
-				if gen, err := strconv.ParseUint(r.Fields[1], 10, 64); err == nil {
-					s.System.Gen = gen
-				}
-			}
-			continue
-		}
-		if ended {
-			return nil, fmt.Errorf("store: records after snapshot end marker")
-		}
-		switch r.Kind {
-		case KindSnapEnd:
-			ended = true
-		case KindNode:
-			n, err := r.field(0)
-			if err != nil {
-				return nil, err
-			}
-			s.System.Nodes = append(s.System.Nodes, n)
-		case KindPrin:
-			name, err := r.field(0)
-			if err != nil {
-				return nil, err
-			}
-			node, err := r.field(1)
-			if err != nil {
-				return nil, err
-			}
-			s.System.Principals = append(s.System.Principals, PrincipalState{Name: name, Node: node})
-		case KindScheme:
-			name, err := r.field(0)
-			if err != nil {
-				return nil, err
-			}
-			scheme, err := r.field(1)
-			if err != nil {
-				return nil, err
-			}
-			for i := range s.System.Principals {
-				if s.System.Principals[i].Name == name {
-					s.System.Principals[i].Scheme = scheme
-				}
-			}
-		case KindMap:
-			src, err := r.field(0)
-			if err != nil {
-				return nil, err
-			}
-			dst, err := r.field(1)
-			if err != nil {
-				return nil, err
-			}
-			s.System.DeliveryMaps = append(s.System.DeliveryMaps, [2]string{src, dst})
-		case KindKey:
-			k, err := DecodeKey(r)
-			if err != nil {
-				return nil, err
-			}
-			s.System.Keys = append(s.System.Keys, k)
-		case KindShip:
-			ships, err := DecodeShips(r)
-			if err != nil {
-				return nil, err
-			}
-			s.System.Ships = append(s.System.Ships, ships...)
-		case KindWS, KindWSDecls, KindWSRules, KindWSCons, KindWSRel:
-			if err := ws.apply(r); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("store: unknown snapshot record %s", r.Kind)
-		}
-	}
-	if !ended {
-		return nil, fmt.Errorf("store: snapshot missing end marker (torn write)")
-	}
-	s.Workspaces = ws.states2()
-	return s, nil
-}
-
-// writeSnapshotFile writes the snapshot to path atomically: temp file,
-// fsync, rename, directory fsync.
-func writeSnapshotFile(dir, path string, s *Snapshot) error {
+// writeSnapshotFile writes the bracketed record stream to path atomically:
+// temp file, fsync, rename, directory fsync.
+func writeSnapshotFile(dir, path string, gen uint64, payloads [][]byte) error {
 	tmp, err := os.CreateTemp(dir, "snap-*.tmp")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	var buf []byte
-	for _, payload := range encodeSnapshot(s) {
+	buf := appendFrame(nil, snapBegin(gen).Encode())
+	for _, payload := range payloads {
 		buf = appendFrame(buf, payload)
 	}
+	buf = appendFrame(buf, (&Record{Kind: KindSnapEnd}).Encode())
 	if _, err := tmp.Write(buf); err != nil {
 		tmp.Close()
 		return err
@@ -244,21 +58,38 @@ func writeSnapshotFile(dir, path string, s *Snapshot) error {
 	return syncDir(dir)
 }
 
-// readSnapshotFile loads and validates a snapshot file.
-func readSnapshotFile(path string, dec *datalog.Decoder) (*Snapshot, error) {
+// readSnapshotFile loads a snapshot file and checks what a torn or
+// damaged write can break: every frame's CRC, every record header, and
+// the snap-begin … snap-end bracket. It returns the records without the
+// end marker. What the records mean — the format version included — is
+// the replaying interpreter's business, and a failure there is a hard
+// error, not a reason to fall back a generation.
+func readSnapshotFile(path string) ([]*Record, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	payloads, _, truncated, err := readFrames(f)
+	records, _, torn, err := readRecords(f)
 	if err != nil {
 		return nil, err
 	}
-	if truncated {
-		return nil, fmt.Errorf("store: snapshot %s has a corrupt frame", path)
+	if torn {
+		return nil, fmt.Errorf("store: snapshot has a corrupt frame")
 	}
-	return decodeSnapshot(payloads, dec)
+	if len(records) == 0 || records[0].Kind != KindSnapBegin {
+		return nil, fmt.Errorf("store: snapshot does not start with %s", KindSnapBegin)
+	}
+	body := records[:len(records)-1]
+	if records[len(records)-1].Kind != KindSnapEnd {
+		return nil, fmt.Errorf("store: snapshot missing end marker (torn write)")
+	}
+	for _, r := range body[1:] {
+		if r.Kind == KindSnapBegin || r.Kind == KindSnapEnd {
+			return nil, fmt.Errorf("store: %s record inside snapshot", r.Kind)
+		}
+	}
+	return body, nil
 }
 
 func syncDir(dir string) error {

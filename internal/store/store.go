@@ -20,9 +20,10 @@
 //	snap-<seq>.snap   full system image (absent before the first checkpoint)
 //	wal-<seq>.log     flushes and events since that snapshot
 //
-// Checkpoint writes snap-<seq+1> from live state, rotates the log, and
-// deletes the previous generation. Recovery loads the newest valid
-// snapshot and replays its log.
+// Both hold the same records (see Record): a snapshot is a compacted
+// log. Checkpoint writes snap-<seq+1> from live state, rotates the log,
+// and deletes the previous generation. Recovery returns the newest valid
+// snapshot's records followed by its log's, as one stream to replay.
 package store
 
 import (
@@ -35,7 +36,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"lbtrust/internal/datalog"
 	"lbtrust/internal/dist"
 	"lbtrust/internal/workspace"
 )
@@ -73,17 +73,14 @@ type Store struct {
 	obsLog atomic.Pointer[slog.Logger]
 }
 
-// Recovered is what Open found on disk: the newest valid snapshot (nil on
-// a fresh directory) and the decoded WAL records that follow it, in log
-// order. Truncated reports that a torn or corrupt log tail was dropped.
+// Recovered is what Open found on disk: the records of the newest valid
+// snapshot (none on a directory never checkpointed) followed by the WAL
+// records after it, in log order — one stream, replayed by one
+// interpreter. Truncated reports that a torn or corrupt log tail was
+// dropped.
 type Recovered struct {
-	Snapshot  *Snapshot
 	Records   []*Record
 	Truncated bool
-	// Decoder carries the code-parse memo shared by the snapshot decode;
-	// pass it to DecodeFlushWith while replaying Records so every
-	// occurrence of a rule's canonical text parses once per recovery.
-	Decoder *datalog.Decoder
 }
 
 func snapPath(dir string, seq uint64) string {
@@ -106,26 +103,24 @@ func Open(dir string, opts Options) (*Store, *Recovered, error) {
 		return nil, nil, err
 	}
 	s := &Store{dir: dir, opts: opts}
-	rec := &Recovered{Decoder: datalog.NewDecoder()}
+	rec := &Recovered{}
 
-	// Newest parseable snapshot wins. A snapshot that exists but cannot
-	// be read is an error, not an empty system: a corrupt newest snapshot
-	// with no surviving older generation must not silently discard the
-	// directory's state.
+	// Newest structurally sound snapshot wins. A snapshot that exists but
+	// cannot be read is an error, not an empty system: a corrupt newest
+	// snapshot with no surviving older generation must not silently
+	// discard the directory's state.
 	seqs, err := generations(dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	snapSeen := false
 	var snapErr error
 	snapSeq := uint64(0)
-	for i := len(seqs) - 1; i >= 0; i-- {
+	for i := len(seqs) - 1; i >= 0 && rec.Records == nil; i-- {
 		path := snapPath(dir, seqs[i])
 		if _, err := os.Stat(path); err != nil {
 			continue
 		}
-		snapSeen = true
-		snap, err := readSnapshotFile(path, rec.Decoder)
+		records, err := readSnapshotFile(path)
 		if err != nil {
 			// Torn or corrupt: try the previous generation, if any.
 			if snapErr == nil {
@@ -133,11 +128,10 @@ func Open(dir string, opts Options) (*Store, *Recovered, error) {
 			}
 			continue
 		}
-		rec.Snapshot = snap
+		rec.Records = records
 		snapSeq = seqs[i]
-		break
 	}
-	if snapSeen && rec.Snapshot == nil {
+	if snapErr != nil && rec.Records == nil {
 		return nil, nil, snapErr
 	}
 
@@ -170,33 +164,23 @@ func Open(dir string, opts Options) (*Store, *Recovered, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		payloads, valid, truncated, err := readFrames(f)
+		records, good, torn, err := readRecords(f)
 		if err != nil {
 			f.Close()
 			return nil, nil, err
 		}
-		if truncated && !last {
+		if torn && !last {
 			f.Close()
-			return nil, nil, fmt.Errorf("store: log segment %s has a torn middle (only the newest segment may be torn)", walPath(dir, q))
+			return nil, nil, fmt.Errorf("store: log segment %s has a torn or unreadable record in the middle (only the newest segment may be torn)", walPath(dir, q))
 		}
-		rec.Truncated = rec.Truncated || truncated
-		for _, p := range payloads {
-			r, err := parseRecord(p)
-			if err != nil {
-				// A record that framed correctly but no longer parses marks
-				// the end of the usable prefix.
-				rec.Truncated = true
-				truncated = true
-				break
-			}
-			rec.Records = append(rec.Records, r)
-		}
+		rec.Truncated = rec.Truncated || torn
+		rec.Records = append(rec.Records, records...)
 		if !last {
 			f.Close()
 			continue
 		}
-		if truncated {
-			if err := f.Truncate(valid); err != nil {
+		if torn {
+			if err := f.Truncate(good); err != nil {
 				f.Close()
 				return nil, nil, err
 			}
@@ -206,7 +190,7 @@ func Open(dir string, opts Options) (*Store, *Recovered, error) {
 			return nil, nil, err
 		}
 		tip = f
-		s.tipSize = valid
+		s.tipSize = good
 	}
 	s.wal = newWALAppender(tip, opts.Fsync, opts.FsyncInterval, &s.obsM)
 	s.wal.setSize(s.tipSize)
@@ -268,7 +252,7 @@ func (s *Store) Policy() FsyncPolicy { return s.opts.Fsync }
 // otherwise it returns once the record is buffered, surfacing any sticky
 // log-write error.
 func (s *Store) Append(r *Record) error {
-	return s.AppendPayload(r.encode())
+	return s.AppendPayload(r.Encode())
 }
 
 // AppendPayload logs one pre-encoded record payload.
@@ -358,23 +342,14 @@ func (s *Store) LogDistEvent(ev dist.Event) error {
 	case dist.EventReset:
 		return s.Append(&Record{Kind: KindReset, Fields: []string{ev.Target}})
 	case dist.EventShip:
-		ships := make([]ShipRecord, len(ev.Ships))
-		for i, sh := range ev.Ships {
-			ships[i] = ShipRecord{Key: sh.Key, Sender: sh.Sender, Target: sh.Target, Gen: sh.Gen}
-		}
-		return s.LogShips(ships)
+		bp := payloadPool.Get().(*[]byte)
+		buf := AppendShipsPayload((*bp)[:0], ev.Ships)
+		err := s.AppendPayload(buf)
+		*bp = buf[:0]
+		payloadPool.Put(bp)
+		return err
 	}
 	return nil
-}
-
-// LogShips logs shipped-set records.
-func (s *Store) LogShips(ships []ShipRecord) error {
-	bp := payloadPool.Get().(*[]byte)
-	buf := AppendShipsPayload((*bp)[:0], ships)
-	err := s.AppendPayload(buf)
-	*bp = buf[:0]
-	payloadPool.Put(bp)
-	return err
 }
 
 // Checkpoint rotates the log, captures a snapshot, writes it, and
@@ -387,7 +362,11 @@ func (s *Store) LogShips(ships []ShipRecord) error {
 // record racing into the new segment during capture replays idempotently
 // over it. A crash between rotation and the snapshot write leaves
 // snap-N + wal-N + wal-(N+1), which Open replays in order.
-func (s *Store) Checkpoint(capture func() (*Snapshot, error)) error {
+//
+// capture returns the snapshot's body as record payloads, in replay
+// order, plus the shipped-set generation that rides on the snap-begin
+// record; the store adds the bracket.
+func (s *Store) Checkpoint(capture func() (gen uint64, payloads [][]byte, err error)) error {
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
 	if m := s.obsM.Load(); m != nil {
@@ -437,11 +416,11 @@ func (s *Store) Checkpoint(capture func() (*Snapshot, error)) error {
 			return fmt.Errorf("store: closing rotated log: %w", err)
 		}
 	}
-	snap, err := capture()
+	gen, payloads, err := capture()
 	if err != nil {
 		return err
 	}
-	if err := writeSnapshotFile(s.dir, snapPath(s.dir, newSeq), snap); err != nil {
+	if err := writeSnapshotFile(s.dir, snapPath(s.dir, newSeq), gen, payloads); err != nil {
 		return fmt.Errorf("store: writing snapshot: %w", err)
 	}
 	// The snapshot covers every older generation; delete them all.

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"lbtrust/internal/datalog"
@@ -32,8 +34,37 @@ func testJournal() *workspace.FlushJournal {
 	}
 }
 
-func TestFlushRecordRoundTrip(t *testing.T) {
+// captureJournal is testJournal plus the two fields only a capture sets.
+func captureJournal() *workspace.FlushJournal {
 	j := testJournal()
+	j.AuxSeq = 7
+	j.Decls = []workspace.Decl{{Name: "export", Arity: 2, Partitioned: true}, {Name: "odd name", Arity: 0}}
+	return j
+}
+
+// nodeSnapshot is a Checkpoint capture whose body is one node record per
+// name.
+func nodeSnapshot(names ...string) func() (uint64, [][]byte, error) {
+	return func() (uint64, [][]byte, error) {
+		var payloads [][]byte
+		for _, n := range names {
+			payloads = append(payloads, (&Record{Kind: KindNode, Fields: []string{n}}).Encode())
+		}
+		return 0, payloads, nil
+	}
+}
+
+// kinds lists the kinds of recovered records, in order.
+func kinds(records []*Record) string {
+	var out []string
+	for _, r := range records {
+		out = append(out, r.Kind)
+	}
+	return strings.Join(out, " ")
+}
+
+func TestFlushRecordRoundTrip(t *testing.T) {
+	j := captureJournal()
 	payload := EncodeFlushPayload("alice", j)
 	r, err := parseRecord(payload)
 	if err != nil {
@@ -60,6 +91,15 @@ func TestFlushRecordRoundTrip(t *testing.T) {
 	}
 	if !back.Changed["arg"][0].Equal(j.Changed["arg"][0]) {
 		t.Errorf("entity tuple changed: %v vs %v", back.Changed["arg"][0], j.Changed["arg"][0])
+	}
+	if back.AuxSeq != j.AuxSeq || !slices.Equal(back.Decls, j.Decls) {
+		t.Errorf("capture fields round trip: aux %d decls %+v, want %d %+v", back.AuxSeq, back.Decls, j.AuxSeq, j.Decls)
+	}
+	// Boundary rule (a): the two capture-only op lines are the whole
+	// difference; an ordinary flush's bytes do not change.
+	plain := string(EncodeFlushPayload("alice", testJournal()))
+	if want := strings.Replace(string(payload), "\naux 7\ndecl \"export\" 2 1\ndecl \"odd name\" 0 0", "", 1); plain != want {
+		t.Errorf("ordinary flush payload differs from the capture's beyond the aux/decl lines:\n%s\nvs\n%s", plain, want)
 	}
 	if len(back.Schema) != len(j.Schema) {
 		t.Fatalf("schema round trip: %d ops, want %d", len(back.Schema), len(j.Schema))
@@ -190,8 +230,7 @@ func TestTornSnapshotFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap1 := &Snapshot{System: SystemState{Nodes: []string{"n1"}}}
-	if err := st.Checkpoint(func() (*Snapshot, error) { return snap1, nil }); err != nil {
+	if err := st.Checkpoint(nodeSnapshot("n1")); err != nil {
 		t.Fatal(err)
 	}
 	oldSeq := st.Seq()
@@ -200,8 +239,7 @@ func TestTornSnapshotFallsBack(t *testing.T) {
 	if err := st.LogFlush("alice", testJournal()); err != nil {
 		t.Fatal(err)
 	}
-	snap2 := &Snapshot{System: SystemState{Nodes: []string{"n1", "n2"}}}
-	if err := st.Checkpoint(func() (*Snapshot, error) { return snap2, nil }); err != nil {
+	if err := st.Checkpoint(nodeSnapshot("n1", "n2")); err != nil {
 		t.Fatal(err)
 	}
 	newSeq := st.Seq()
@@ -212,7 +250,8 @@ func TestTornSnapshotFallsBack(t *testing.T) {
 
 	// Only the newest generation survives a checkpoint; recreate an older
 	// one, then tear the newest snapshot.
-	if err := writeSnapshotFile(dir, snapPath(dir, oldSeq), snap1); err != nil {
+	_, body, _ := nodeSnapshot("n1")()
+	if err := writeSnapshotFile(dir, snapPath(dir, oldSeq), 0, body); err != nil {
 		t.Fatal(err)
 	}
 	os.WriteFile(walPath(dir, oldSeq), nil, 0o644)
@@ -226,8 +265,8 @@ func TestTornSnapshotFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Snapshot == nil || len(rec.Snapshot.System.Nodes) != 1 {
-		t.Fatalf("recovery did not fall back to generation 1: %+v", rec.Snapshot)
+	if got := kinds(rec.Records); got != "snap-begin node" {
+		t.Fatalf("recovery did not fall back to generation 1: recovered %q", got)
 	}
 }
 
@@ -239,9 +278,7 @@ func TestCheckpointRotatesAndDeletes(t *testing.T) {
 	}
 	j := testJournal()
 	st.LogFlush("alice", j)
-	if err := st.Checkpoint(func() (*Snapshot, error) {
-		return &Snapshot{System: SystemState{Nodes: []string{"local"}}}, nil
-	}); err != nil {
+	if err := st.Checkpoint(nodeSnapshot("local")); err != nil {
 		t.Fatal(err)
 	}
 	st.LogFlush("alice", j)
@@ -263,8 +300,8 @@ func TestCheckpointRotatesAndDeletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Snapshot == nil || len(rec.Records) != 1 {
-		t.Errorf("recovered snapshot=%v records=%d, want snapshot + 1 record", rec.Snapshot != nil, len(rec.Records))
+	if got := kinds(rec.Records); got != "snap-begin node flush" {
+		t.Errorf("recovered %q, want the snapshot's records then 1 log record", got)
 	}
 }
 
@@ -292,7 +329,10 @@ func TestFsyncAlwaysDurableBeforeReturn(t *testing.T) {
 	}
 }
 
-func TestSnapshotWorkspaceStateRoundTrip(t *testing.T) {
+// TestSnapshotWorkspaceRoundTrip takes a workspace through the path
+// a checkpoint and recovery take: CaptureJournal → flush payloads →
+// records → DecodeFlush → ApplyJournal + FinishRestore.
+func TestSnapshotWorkspaceRoundTrip(t *testing.T) {
 	ws := workspace.New("alice")
 	if err := ws.LoadProgram(`
 		e0: export[U1](U2) -> prin(U1), prin(U2).
@@ -302,27 +342,20 @@ func TestSnapshotWorkspaceStateRoundTrip(t *testing.T) {
 	`); err != nil {
 		t.Fatal(err)
 	}
-	st := ws.CaptureState()
-	records := encodeWorkspaceState(st)
-	b := newWSBuilder(datalog.NewDecoder())
-	for _, r := range records {
-		payload := r.encode()
-		parsed, err := parseRecord(payload)
+	re := workspace.New("alice")
+	dec := datalog.NewDecoder()
+	for _, j := range ws.CaptureJournal() {
+		parsed, err := parseRecord(EncodeFlushPayload("alice", j))
 		if err != nil {
 			t.Fatalf("parse: %v", err)
 		}
-		if err := b.apply(parsed); err != nil {
+		principal, back, err := DecodeFlushWith(parsed, dec)
+		if err != nil || principal != "alice" {
+			t.Fatalf("decode: principal %q, err %v", principal, err)
+		}
+		if err := re.ApplyJournal(back); err != nil {
 			t.Fatalf("apply: %v", err)
 		}
-	}
-	states := b.states2()
-	if len(states) != 1 {
-		t.Fatalf("rebuilt %d states", len(states))
-	}
-	got := states[0]
-	re := workspace.New("alice")
-	if err := re.RestoreState(got); err != nil {
-		t.Fatalf("restore: %v", err)
 	}
 	if err := re.FinishRestore(); err != nil {
 		t.Fatalf("finish: %v", err)
@@ -339,6 +372,9 @@ func TestSnapshotWorkspaceStateRoundTrip(t *testing.T) {
 				t.Errorf("%s[%d]: %v vs %v", pred, i, gotFacts[i], want[i])
 			}
 		}
+	}
+	if !slices.Equal(re.Decls(), ws.Decls()) {
+		t.Errorf("declarations: %+v vs %+v", re.Decls(), ws.Decls())
 	}
 	// The restored workspace enforces the restored constraint.
 	err := re.Update(func(tx *workspace.Tx) error { return tx.Assert("src(zzz)") })
@@ -408,9 +444,7 @@ func TestCorruptOnlySnapshotErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.LogFlush("alice", testJournal())
-	if err := st.Checkpoint(func() (*Snapshot, error) {
-		return &Snapshot{System: SystemState{Nodes: []string{"local"}}}, nil
-	}); err != nil {
+	if err := st.Checkpoint(nodeSnapshot("local")); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -430,8 +464,8 @@ func TestCorruptOnlySnapshotErrors(t *testing.T) {
 // recovery must replay both segments on top of snap-N.
 func TestInterruptedCheckpointReplaysBothSegments(t *testing.T) {
 	dir := t.TempDir()
-	snap := &Snapshot{System: SystemState{Nodes: []string{"local"}}}
-	if err := writeSnapshotFile(dir, snapPath(dir, 1), snap); err != nil {
+	_, body, _ := nodeSnapshot("local")()
+	if err := writeSnapshotFile(dir, snapPath(dir, 1), 0, body); err != nil {
 		t.Fatal(err)
 	}
 	j := testJournal()
@@ -446,10 +480,10 @@ func TestInterruptedCheckpointReplaysBothSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Snapshot == nil || len(rec.Records) != 3 {
-		t.Fatalf("recovered snapshot=%v records=%d, want snapshot + 3 records across both segments", rec.Snapshot != nil, len(rec.Records))
+	if got := kinds(rec.Records); got != "snap-begin node flush flush flush" {
+		t.Fatalf("recovered %q, want the snapshot then 3 records across both segments", got)
 	}
-	if p, _, _ := DecodeFlush(rec.Records[2]); p != "bob" {
+	if p, _, _ := DecodeFlush(rec.Records[4]); p != "bob" {
 		t.Errorf("segment order wrong: last record from %q, want bob", p)
 	}
 	// New appends must land in the newest segment.
@@ -463,8 +497,8 @@ func TestInterruptedCheckpointReplaysBothSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec2.Records) != 4 {
-		t.Errorf("after append: %d records, want 4", len(rec2.Records))
+	if got := kinds(rec2.Records); got != "snap-begin node flush flush flush flush" {
+		t.Errorf("after append: recovered %q, want 4 log records", got)
 	}
 }
 
@@ -477,7 +511,7 @@ func TestWALFilePermissions(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.LogFlush("alice", testJournal())
-	if err := st.Checkpoint(func() (*Snapshot, error) { return &Snapshot{}, nil }); err != nil {
+	if err := st.Checkpoint(nodeSnapshot()); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -489,6 +523,126 @@ func TestWALFilePermissions(t *testing.T) {
 		}
 		if info.Mode().Perm()&0o077 != 0 {
 			t.Errorf("%s has mode %v, want no group/other access", e.Name(), info.Mode())
+		}
+	}
+}
+
+// TestUnparsableRecordTruncatedAtItsOffset: a record that frames
+// correctly but does not parse ends the usable prefix of the tip segment
+// at its own first byte. Truncating after it instead would leave it in
+// the file, and everything appended on later opens — acknowledged writes
+// — would sit behind it and be dropped by every recovery.
+func TestUnparsableRecordTruncatedAtItsOffset(t *testing.T) {
+	dir := t.TempDir()
+	node := func(n string) *Record { return &Record{Kind: KindNode, Fields: []string{n}} }
+	st, _, err := Open(dir, Options{Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, payload := range [][]byte{node("n1").Encode(), []byte(" broken"), node("n2").Encode()} {
+		if err := st.AppendPayload(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.Close()
+
+	st, rec, err := Open(dir, Options{Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := kinds(rec.Records); got != "node" || !rec.Truncated {
+		t.Fatalf("recovered %q truncated=%v, want the one record before the bad one, truncated", got, rec.Truncated)
+	}
+	if want := int64(len(appendFrame(nil, node("n1").Encode()))); st.LogSize() != want {
+		t.Errorf("log size after truncation = %d, want %d (the bad record's offset)", st.LogSize(), want)
+	}
+	if err := st.Append(node("n3")); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	_, rec, err = Open(dir, Options{Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Records) != 2 || rec.Records[1].Fields[0] != "n3" || rec.Truncated {
+		t.Errorf("recovered %q truncated=%v, want n1 and the acknowledged n3 with a clean tail", kinds(rec.Records), rec.Truncated)
+	}
+}
+
+// TestUnparsableRecordInOlderSegmentErrors: only the newest segment may
+// end early. An unparsable record in an older one is damage in the middle
+// of the log, and skipping the rest of that segment to carry on with the
+// next would replay a log with a hole in it.
+func TestUnparsableRecordInOlderSegmentErrors(t *testing.T) {
+	dir := t.TempDir()
+	good := (&Record{Kind: KindNode, Fields: []string{"n1"}}).Encode()
+	older := appendFrame(appendFrame(appendFrame(nil, good), []byte(" broken")), good)
+	os.WriteFile(walPath(dir, 1), older, 0o600)
+	os.WriteFile(walPath(dir, 2), appendFrame(nil, good), 0o600)
+	if _, _, err := Open(dir, Options{Fsync: FsyncOff}); err == nil {
+		t.Fatal("Open replayed past an unparsable record in a non-tip segment")
+	}
+}
+
+// TestSnapshotBracket: which snapshot files recovery takes, falls back
+// from, or refuses outright. Structure — CRC, headers, bracket — decides
+// fallback; the format version is the interpreter's to refuse, so a
+// well-formed version 1 file is recovered here and rejected by
+// DecodeSnapBegin with both versions named.
+func TestSnapshotBracket(t *testing.T) {
+	begin := snapBegin(9).Encode()
+	end := (&Record{Kind: KindSnapEnd}).Encode()
+	node := (&Record{Kind: KindNode, Fields: []string{"n1"}}).Encode()
+	v1 := []byte(`snap-begin "1" "9"`)
+	for _, tc := range []struct {
+		name     string
+		payloads [][]byte
+		want     string // recovered kinds; "" = unreadable
+	}{
+		{"complete", [][]byte{begin, node, end}, "snap-begin node"},
+		{"empty body", [][]byte{begin, end}, "snap-begin"},
+		{"version 1", [][]byte{v1, node, []byte(`ws "alice" "0"`), end}, "snap-begin node ws"},
+		{"no end marker", [][]byte{begin, node}, ""},
+		{"no begin marker", [][]byte{node, end}, ""},
+		{"records after end", [][]byte{begin, end, node}, ""},
+		{"nested begin", [][]byte{begin, begin, end}, ""},
+		{"unparsable header", [][]byte{begin, []byte(" broken"), end}, ""},
+		{"empty file", nil, ""},
+	} {
+		dir := t.TempDir()
+		var file []byte
+		for _, p := range tc.payloads {
+			file = appendFrame(file, p)
+		}
+		os.WriteFile(snapPath(dir, 1), file, 0o600)
+		_, rec, err := Open(dir, Options{Fsync: FsyncOff})
+		if tc.want == "" {
+			if err == nil {
+				t.Errorf("%s: Open accepted the snapshot (%q)", tc.name, kinds(rec.Records))
+			}
+			continue
+		}
+		if err != nil || kinds(rec.Records) != tc.want {
+			t.Errorf("%s: recovered %q, err %v; want %q", tc.name, kinds(rec.Records), err, tc.want)
+			continue
+		}
+		gen, err := DecodeSnapBegin(rec.Records[0])
+		if tc.name == "version 1" {
+			if err == nil || !strings.Contains(err.Error(), "version 1 ") || !strings.Contains(err.Error(), "version 2 ") {
+				t.Errorf("version 1 snap-begin: err = %v, want a refusal naming versions 1 and 2", err)
+			}
+		} else if err != nil || gen != 9 {
+			t.Errorf("%s: DecodeSnapBegin = %d, %v; want 9", tc.name, gen, err)
+		}
+	}
+	for _, bad := range []string{`snap-begin "2"`, `snap-begin "2" "junk"`, `snap-begin "2" "-1"`, `snap-begin "2" ""`, `snap-begin`} {
+		r, err := parseRecord([]byte(bad))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gen, err := DecodeSnapBegin(r); err == nil {
+			t.Errorf("DecodeSnapBegin(%s) = %d, want an error", bad, gen)
 		}
 	}
 }

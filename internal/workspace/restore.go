@@ -1,54 +1,27 @@
-// Durability support: capturing a workspace's full state for snapshots and
-// rebuilding a workspace from a snapshot plus a replayed flush journal.
-// Replay runs in "load mode": logged tuples are inserted directly into the
-// base and full databases and logged rules/constraints are re-installed
-// without running evaluation or constraint checks — the log records state
-// that was already derived and validated before the crash. Only when the
-// journal contains a retraction or rebuilt flush (whose per-tuple delta is
-// void by construction) does FinishRestore fall back to recomputing
-// derived state from base facts.
+// Durability support: a workspace's durable state is written down in one
+// vocabulary, the flush journal. Every committed flush journals its
+// changes (tx.go); CaptureJournal renders the whole current state in the
+// same form — a compacted log — for checkpoints; ApplyJournal replays
+// either. Replay runs in "load mode": logged tuples are inserted directly
+// into the base and full databases and logged rules/constraints are
+// re-installed without running evaluation or constraint checks — the log
+// records state that was already derived and validated before the crash.
+// Only when the journal contains a retraction or rebuilt flush (whose
+// per-tuple delta is void by construction) does FinishRestore fall back
+// to recomputing derived state from base facts.
 package workspace
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"lbtrust/internal/datalog"
 	"lbtrust/internal/meta"
 )
 
-// RelationState is the serializable content of one relation.
-type RelationState struct {
-	Name        string
-	Arity       int
-	Partitioned bool
-	Tuples      []datalog.Tuple
-}
-
-// WorkspaceState is a serializable snapshot of one workspace: everything
-// needed to rebuild it byte-identically without re-running evaluation.
-// Check-evaluator state (aux relations, fail facts) is deliberately
-// excluded — the first post-restore flush with checks rebuilds it with one
-// full constraint pass.
-type WorkspaceState struct {
-	Principal string
-	AuxSeq    int
-	Decls     []Decl
-	// Rules lists every active rule in activation order (owner-installed
-	// and derived-activated alike).
-	Rules []RuleChange
-	// Constraints lists the compiled (non-declaration-only) constraints in
-	// installation order, with their original aux ids.
-	Constraints []ConstraintChange
-	// Base holds the asserted ground-truth relations; Derived holds the
-	// remaining database content (derived tuples and meta facts), i.e. the
-	// full database minus the base facts, so the snapshot stores each
-	// tuple once.
-	Base    []RelationState
-	Derived []RelationState
-}
-
 // checkStatePred reports relations that hold check-evaluator state, which
-// snapshots skip: aux relations are rebuilt by the first full check after
+// captures skip: aux relations are rebuilt by the first full check after
 // restore, and fail relations are empty in any committed state.
 func checkStatePred(name string) bool {
 	if len(name) >= len(auxPredPrefix) && name[:len(auxPredPrefix)] == auxPredPrefix {
@@ -57,31 +30,43 @@ func checkStatePred(name string) bool {
 	return name == failPred || name == "fail"
 }
 
-// CaptureState snapshots the workspace's full state. Tuples are shared
-// with the live database (they are immutable); relation contents are
-// sorted so identical states serialize identically.
+// captureChunk is how many tuples one captured journal carries: it bounds
+// the size of a snapshot record however large the workspace.
+const captureChunk = 4096
+
+// CaptureJournal renders the workspace's full state as flush journals
+// that, replayed in order by ApplyJournal into a fresh workspace and
+// finished with FinishRestore, rebuild it without re-running evaluation.
+// The first journal carries the declarations, the aux id counter, every
+// installed constraint (with its original aux id) and every active rule
+// in activation order; base tuples follow as Facts and the rest of the
+// database (derived tuples and meta facts) as Changed, so each tuple is
+// stored once. Check-evaluator state is deliberately excluded — the first
+// post-restore flush with checks rebuilds it with one full constraint
+// pass. Tuples are shared with the live database (they are immutable);
+// relation contents are sorted so identical states serialize identically.
 //
 // The workspace lock is held only for the O(1)-per-relation copy-on-write
 // clones plus the schema copies — materializing and sorting the tuples
 // (the expensive part, proportional to total database size) happens after
-// the lock is released, so a large snapshot capture no longer stalls
-// concurrent flushes.
-func (w *Workspace) CaptureState() *WorkspaceState {
+// the lock is released, so a large capture does not stall concurrent
+// flushes.
+func (w *Workspace) CaptureJournal() []*FlushJournal {
 	w.mu.Lock()
-	st := &WorkspaceState{
-		Principal: string(w.principal),
-		AuxSeq:    w.auxSeq,
-	}
+	head := &FlushJournal{AuxSeq: w.auxSeq}
 	for _, d := range w.decls {
-		st.Decls = append(st.Decls, d)
-	}
-	sortDecls(st.Decls)
-	for _, k := range w.activeOrder {
-		e := w.active[k]
-		st.Rules = append(st.Rules, RuleChange{Code: e.code, Owner: e.owner, Derived: e.derived})
+		head.Decls = append(head.Decls, d)
 	}
 	for _, cc := range w.constraints {
-		st.Constraints = append(st.Constraints, ConstraintChange{AuxID: cc.auxID, Label: cc.label, Source: cc.source})
+		head.Schema = append(head.Schema, SchemaChange{Kind: SchemaConstraintAdd, Constraint: ConstraintChange{
+			AuxID: cc.auxID, Label: cc.label, Source: cc.source,
+		}})
+	}
+	for _, k := range w.activeOrder {
+		e := w.active[k]
+		head.Schema = append(head.Schema, SchemaChange{Kind: SchemaRuleAdd, Rule: RuleChange{
+			Code: e.code, Owner: e.owner, Derived: e.derived,
+		}})
 	}
 	type capturedRel struct {
 		name string
@@ -106,88 +91,36 @@ func (w *Workspace) CaptureState() *WorkspaceState {
 	}
 	w.mu.Unlock()
 
+	slices.SortFunc(head.Decls, func(a, b Decl) int { return cmp.Compare(a.Name, b.Name) })
+	out := []*FlushJournal{head}
+	cur, n := head, 0
+	next := func() *FlushJournal {
+		if n == captureChunk {
+			cur, n = &FlushJournal{}, 0
+			out = append(out, cur)
+		}
+		n++
+		return cur
+	}
 	for _, cr := range baseRels {
-		st.Base = append(st.Base, RelationState{
-			Name: cr.name, Arity: cr.rel.Arity, Partitioned: cr.rel.Partitioned, Tuples: cr.rel.Sorted(),
-		})
+		for _, t := range cr.rel.Sorted() {
+			j := next()
+			j.Facts = append(j.Facts, FactChange{Pred: cr.name, Tuple: t})
+		}
 	}
 	for _, cr := range derivedRels {
-		var tuples []datalog.Tuple
 		for _, t := range cr.rel.Sorted() {
 			if cr.base != nil && cr.base.Contains(t) {
 				continue
 			}
-			tuples = append(tuples, t)
-		}
-		if len(tuples) == 0 {
-			continue
-		}
-		st.Derived = append(st.Derived, RelationState{
-			Name: cr.name, Arity: cr.rel.Arity, Partitioned: cr.rel.Partitioned, Tuples: tuples,
-		})
-	}
-	return st
-}
-
-func sortDecls(ds []Decl) {
-	for i := 1; i < len(ds); i++ {
-		for j := i; j > 0 && ds[j].Name < ds[j-1].Name; j-- {
-			ds[j], ds[j-1] = ds[j-1], ds[j]
+			j := next()
+			if j.Changed == nil {
+				j.Changed = map[string][]datalog.Tuple{}
+			}
+			j.Changed[cr.name] = append(j.Changed[cr.name], t)
 		}
 	}
-}
-
-// RestoreState loads a snapshot into a freshly created workspace (one with
-// no data, rules, or constraints yet — built-ins may already be
-// registered). No evaluation runs; call ApplyJournal for each logged flush
-// after the snapshot, then FinishRestore.
-func (w *Workspace) RestoreState(st *WorkspaceState) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if string(w.principal) != st.Principal {
-		return fmt.Errorf("workspace: restoring state of %q into workspace of %q", st.Principal, w.principal)
-	}
-	if len(w.activeOrder) != 0 || w.base.TupleCount() != 0 {
-		return fmt.Errorf("workspace: RestoreState requires a fresh workspace")
-	}
-	for _, d := range st.Decls {
-		w.registerDecl(d)
-	}
-	if st.AuxSeq > w.auxSeq {
-		w.auxSeq = st.AuxSeq
-	}
-	for _, c := range st.Constraints {
-		if err := w.installConstraintLocked(c); err != nil {
-			return err
-		}
-	}
-	for _, r := range st.Rules {
-		if err := w.installRuleLocked(r); err != nil {
-			return err
-		}
-	}
-	for _, rs := range st.Base {
-		rel := w.baseRel(rs.Name, rs.Arity)
-		rel.Partitioned = rel.Partitioned || rs.Partitioned
-		dst := w.db.Rel(rs.Name, rs.Arity)
-		dst.Partitioned = dst.Partitioned || rs.Partitioned
-		for _, t := range rs.Tuples {
-			rel.Insert(t)
-			dst.Insert(t)
-		}
-	}
-	for _, rs := range st.Derived {
-		dst := w.db.Rel(rs.Name, rs.Arity)
-		dst.Partitioned = dst.Partitioned || rs.Partitioned
-		for _, t := range rs.Tuples {
-			dst.Insert(t)
-		}
-	}
-	w.rulesChanged = true
-	w.constraintsChanged = true
-	w.snapAll = true
-	w.snapClean.Store(false)
-	return nil
+	return out
 }
 
 // installConstraintLocked re-compiles a logged constraint under its
@@ -246,15 +179,24 @@ func (w *Workspace) installRuleLocked(change RuleChange) error {
 	return nil
 }
 
-// ApplyJournal replays one logged flush in load mode: base changes and the
-// logged derived delta are applied directly, with no evaluation. Replay is
-// idempotent, so a flush that is both captured in the snapshot and present
-// in the log applies cleanly. Schema changes replay in their recorded
+// ApplyJournal replays one journal — a logged flush or a piece of a
+// capture — in load mode: base changes and the logged derived delta are
+// applied directly, with no evaluation. Replay is idempotent, so a flush
+// that is both captured in a snapshot and present in the log applies
+// cleanly. Declarations and the aux id counter (captures only) land
+// before the schema changes, so base relations created below inherit
+// their partitioned flag. Schema changes replay in their recorded
 // order, so a transaction that adds and then removes the same rule lands
 // removed, exactly as it committed.
 func (w *Workspace) ApplyJournal(j *FlushJournal) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if j.AuxSeq > w.auxSeq {
+		w.auxSeq = j.AuxSeq
+	}
+	for _, d := range j.Decls {
+		w.registerDecl(d)
+	}
 	for _, op := range j.Schema {
 		switch op.Kind {
 		case SchemaConstraintRemove:

@@ -213,12 +213,20 @@ type FlushJournal struct {
 	// application order (derived activations by the meta loop follow the
 	// transaction's own changes).
 	Schema []SchemaChange
+	// Decls and AuxSeq are set only by CaptureJournal. A flush's
+	// declarations and aux ids replay from its constraint adds; a capture
+	// lists only the constraints still installed, but a declaration
+	// outlives the constraint that made it and the aux id counter
+	// outlives removed constraints, so it carries both explicitly.
+	Decls  []Decl
+	AuxSeq int
 }
 
 // Empty reports whether the journal records no changes at all, so the
 // durability layer can skip logging a no-op flush.
 func (j *FlushJournal) Empty() bool {
-	return len(j.Facts) == 0 && len(j.Changed) == 0 && !j.Rebuilt && len(j.Schema) == 0
+	return len(j.Facts) == 0 && len(j.Changed) == 0 && !j.Rebuilt && len(j.Schema) == 0 &&
+		len(j.Decls) == 0 && j.AuxSeq == 0
 }
 
 // SetJournal installs the flush journal observer (at most one; the

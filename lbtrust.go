@@ -193,10 +193,13 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) { return store.ParseFsyncPo
 // OpenSystem opens (creating if needed) a durable system rooted at dir:
 // every workspace flush, shipment, and key establishment is recorded in a
 // write-ahead log under dir, System.Checkpoint() writes a compacting
-// snapshot and rotates the log, and reopening the directory rebuilds the
-// system — workspaces answer queries byte-identically to the pre-crash
-// system, and the next Sync re-delivers nothing already applied. Close
-// the system to flush the log.
+// snapshot — the same records, as a compacted log — and rotates the log,
+// and reopening the directory replays snapshot and log through one
+// interpreter to rebuild the system — workspaces answer queries
+// byte-identically to the pre-crash system, and the next Sync re-delivers
+// nothing already applied. Snapshots are format version 2; a version 1
+// snapshot is refused (version 1 logs still replay). Close the system to
+// flush the log.
 func OpenSystem(dir string, opts DurableOptions) (*System, error) {
 	return core.OpenSystem(dir, opts)
 }
