@@ -427,3 +427,22 @@ func TestLabelsAndComments(t *testing.T) {
 		t.Errorf("q = %q", got)
 	}
 }
+
+func TestEnsureDot(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{"p(a)", "p(a)."},
+		{"p(a).", "p(a)."},
+		{"p(a).\r\n", "p(a)."},
+		{"p(a) \t\r\n", "p(a)."},
+		{"  p(a)", "p(a)."},
+		{"", "."},
+	} {
+		got := EnsureDot(tc.in)
+		if got != tc.want {
+			t.Errorf("EnsureDot(%q) = %q, want %q", tc.in, got, tc.want)
+		}
+		if _, err := ParseClause(got); (err != nil) != (tc.in == "") {
+			t.Errorf("ParseClause(EnsureDot(%q)): err = %v", tc.in, err)
+		}
+	}
+}

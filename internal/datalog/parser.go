@@ -2,6 +2,7 @@ package datalog
 
 import (
 	"fmt"
+	"strings"
 )
 
 // Parser turns LBTrust surface syntax into a Program. Rule bodies and
@@ -53,6 +54,18 @@ func ParseClause(src string) (*Rule, error) {
 		return nil, fmt.Errorf("datalog: expected exactly one clause in %q", src)
 	}
 	return prog.Rules[0], nil
+}
+
+// EnsureDot trims surrounding white space from a single clause's source
+// and appends the clause terminator if it lacks one, so callers taking
+// one fact or rule from a user or the wire accept it with or without
+// the final dot.
+func EnsureDot(src string) string {
+	s := strings.TrimSpace(src)
+	if !strings.HasSuffix(s, ".") {
+		s += "."
+	}
+	return s
 }
 
 // MustParseClause parses a single clause and panics on error.

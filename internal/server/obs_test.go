@@ -187,3 +187,33 @@ func TestShutdownGraceful(t *testing.T) {
 		t.Errorf("active sessions after shutdown = %d, want 0", st.Active)
 	}
 }
+
+// TestMalformedRetractDoesNotRebuild: any authenticated session can send
+// `retract <garbage>`; it must be refused without the workspace paying a
+// rebuild-from-base (a full evaluation and, under RSA, a re-sign of
+// every export, under the workspace lock) per request.
+func TestMalformedRetractDoesNotRebuild(t *testing.T) {
+	o := &obs.Obs{Registry: obs.NewRegistry()}
+	sys, srv := newTestSystem(t, Options{Obs: o})
+	alice := authedClient(t, sys, srv, "alice")
+	if err := alice.Assert(`edge(a, b)`); err != nil {
+		t.Fatalf("assert: %v", err)
+	}
+	p, _ := sys.Principal("alice")
+	fullRuns := o.Registry.Counter("lb_eval_runs_total", "", "mode", "full")
+	db, runs := p.Workspace().DB(), fullRuns.Value()
+	for _, src := range []string{"garbage((", "p(X) <- q(X)"} {
+		if err := alice.Retract(src); err == nil {
+			t.Fatalf("retract %q succeeded", src)
+		}
+	}
+	if p.Workspace().DB() != db {
+		t.Error("refused retract replaced the workspace database")
+	}
+	if got := fullRuns.Value(); got != runs {
+		t.Errorf("refused retracts ran %d full evaluations, want 0", got-runs)
+	}
+	if err := alice.Retract(`edge(a, b)`); err != nil {
+		t.Errorf("well-formed retract after the refusals: %v", err)
+	}
+}

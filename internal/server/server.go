@@ -763,18 +763,19 @@ func (s *Server) write(sess *session, verb, src string, trace obs.TraceID, rs *r
 		rs.gas = stats.Gas
 		return err
 	}
-	if verb == "retract" {
-		if err := run(func(tx *workspace.Tx) error { return tx.Retract(src) }); err != nil {
-			return s.evalErrFrame(err)
-		}
-		rs.roots = []string{predOf(src)}
-		return []byte("ok")
-	}
-	clause, err := datalog.ParseClause(ensureDot(src))
+	// Parse before taking the workspace lock: malformed source from the
+	// wire is refused without opening a transaction.
+	clause, err := datalog.ParseClause(datalog.EnsureDot(src))
 	if err != nil {
 		return errFrame(err)
 	}
 	rs.roots = []string{predOf(src)}
+	if verb == "retract" {
+		if err := run(func(tx *workspace.Tx) error { return tx.Retract(src) }); err != nil {
+			return s.evalErrFrame(err)
+		}
+		return []byte("ok")
+	}
 	if clause.IsFact() {
 		if err := run(func(tx *workspace.Tx) error { return tx.Assert(src) }); err != nil {
 			return s.evalErrFrame(err)
@@ -783,7 +784,7 @@ func (s *Server) write(sess *session, verb, src string, trace obs.TraceID, rs *r
 	}
 	// The analyzer must run before Update: it snapshots the workspace
 	// under the same lock the transaction will take.
-	diags := ws.AnalyzeSource(ensureDot(src))
+	diags := ws.AnalyzeSource(datalog.EnsureDot(src))
 	if analysis.HasErrors(diags) {
 		s.refused.Add(1)
 		s.metrics.refusedInc()
@@ -797,14 +798,6 @@ func (s *Server) write(sess *session, verb, src string, trace obs.TraceID, rs *r
 		resp += "\n" + d.String()
 	}
 	return []byte(resp)
-}
-
-// ensureDot appends the clause terminator if the source lacks one.
-func ensureDot(src string) string {
-	if t := strings.TrimSpace(src); !strings.HasSuffix(t, ".") {
-		return t + "."
-	}
-	return src
 }
 
 // say asserts says(me, to, [| clause |]) as the authenticated principal.

@@ -31,9 +31,6 @@ func (w *Workspace) EnableProvenance(limitBytes int64) error {
 	return w.userEv.Run()
 }
 
-// Provenance returns the derivation store, nil when disabled.
-func (w *Workspace) Provenance() *provenance.Store { return w.prov }
-
 // RecordRemoteLeaf records leaf provenance for a tuple delivered by the
 // distribution runtime: the origin node, the exporting principal, and the
 // envelope trace ID. No-op when provenance is disabled (one branch, the

@@ -74,6 +74,11 @@ func (w *Workspace) UpdateTraced(trace string, fn func(tx *Tx) error) (EvalStats
 	w.flushRebuilt = false
 	w.flushActivated = nil
 	err := fn(tx)
+	// fn failing before it recorded any change (an unparsable fact, say)
+	// left the workspace as it was: there is nothing to undo, and
+	// restoreLocked would rebuild and re-sign the whole state under w.mu
+	// for it.
+	pristine := err != nil && len(tx.facts) == 0 && len(tx.schema) == 0
 	if err == nil {
 		// Arm the flush budget on the workspace (rebuildDerivedLocked
 		// re-attaches it when it replaces the evaluators) and on both
@@ -103,8 +108,10 @@ func (w *Workspace) UpdateTraced(trace string, fn func(tx *Tx) error) (EvalStats
 	}
 	if err != nil {
 		w.flushNew, w.flushRebuilt, w.flushActivated = nil, false, nil
-		if rerr := w.restoreLocked(snap, tx); rerr != nil {
-			err = errors.Join(err, fmt.Errorf("workspace: rollback: %w", rerr))
+		if !pristine {
+			if rerr := w.restoreLocked(snap, tx); rerr != nil {
+				err = errors.Join(err, fmt.Errorf("workspace: rollback: %w", rerr))
+			}
 		}
 		if w.log != nil {
 			if trace != "" {
@@ -166,7 +173,7 @@ func (w *Workspace) UpdateTraced(trace string, fn func(tx *Tx) error) (EvalStats
 // Assert inserts a base fact given in surface syntax, e.g.
 // tx.Assert(`says(bob, me, [| access(p,o,read). |])`).
 func (tx *Tx) Assert(src string) error {
-	clause, err := datalog.ParseClause(ensureDot(src))
+	clause, err := datalog.ParseClause(datalog.EnsureDot(src))
 	if err != nil {
 		return err
 	}
@@ -210,7 +217,7 @@ func (tx *Tx) AssertTuple(pred string, tuple datalog.Tuple) error {
 // Retract removes a base fact (surface syntax). Derived consequences are
 // withdrawn by recomputation from the remaining base facts.
 func (tx *Tx) Retract(src string) error {
-	clause, err := datalog.ParseClause(ensureDot(src))
+	clause, err := datalog.ParseClause(datalog.EnsureDot(src))
 	if err != nil {
 		return err
 	}
@@ -252,7 +259,7 @@ func (tx *Tx) AddRule(r *datalog.Rule) error { return tx.AddRuleAs(r, tx.w.princ
 // (the flush would reject it too, but after the rest of the transaction
 // has been applied and must be rolled back).
 func (tx *Tx) AddRuleSrc(src string) error {
-	r, err := datalog.ParseClause(ensureDot(src))
+	r, err := datalog.ParseClause(datalog.EnsureDot(src))
 	if err != nil {
 		return err
 	}
@@ -421,17 +428,6 @@ func (tx *Tx) AddConstraintSrc(src string) error {
 		}
 	}
 	return nil
-}
-
-func ensureDot(src string) string {
-	s := src
-	for len(s) > 0 && (s[len(s)-1] == ' ' || s[len(s)-1] == '\n' || s[len(s)-1] == '\t') {
-		s = s[:len(s)-1]
-	}
-	if len(s) == 0 || s[len(s)-1] != '.' {
-		return s + "."
-	}
-	return s
 }
 
 // atomTuple evaluates a ground atom into a tuple.

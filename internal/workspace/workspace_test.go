@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lbtrust/internal/datalog"
+	"lbtrust/internal/obs"
 )
 
 func TestLoadProgramAndQuery(t *testing.T) {
@@ -561,5 +562,65 @@ func TestFlushDeltaReportsAssertedAndDerived(t *testing.T) {
 	}
 	if len(deltas) != n {
 		t.Errorf("hook fired on a rolled-back transaction")
+	}
+}
+
+// TestPristineFailedUpdateDoesNotRebuild: a transaction whose fn fails
+// before recording any change has nothing to roll back, so it must not
+// pay the rebuild-from-base (which replaces the database and, under RSA,
+// re-signs every export while holding the workspace lock).
+func TestPristineFailedUpdateDoesNotRebuild(t *testing.T) {
+	o := &obs.Obs{Registry: obs.NewRegistry()}
+	w := New("alice")
+	w.SetObs(o)
+	if err := w.LoadProgram(`edge(a,b). path(X,Y) <- edge(X,Y).`); err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	fullRuns := o.Registry.Counter("lb_eval_runs_total", "", "mode", "full")
+	db, runs := w.DB(), fullRuns.Value()
+	for _, src := range []string{"garbage((", "p(X) <- q(X)"} {
+		if err := w.Update(func(tx *Tx) error { return tx.Retract(src) }); err == nil {
+			t.Fatalf("Retract(%q) succeeded", src)
+		}
+	}
+	if w.DB() != db {
+		t.Error("failed pristine Update replaced the database")
+	}
+	if got := fullRuns.Value(); got != runs {
+		t.Errorf("failed pristine Update ran %d full evaluations, want 0", got-runs)
+	}
+
+	// A failure after a recorded change still unwinds it.
+	err := w.Update(func(tx *Tx) error {
+		if err := tx.Assert("edge(b,c)"); err != nil {
+			return err
+		}
+		return tx.Retract("garbage((")
+	})
+	if err == nil {
+		t.Fatal("update with unparsable retract succeeded")
+	}
+	if n := w.Count("path"); n != 1 {
+		t.Errorf("path has %d rows after rollback, want 1", n)
+	}
+}
+
+// TestAssertAcceptsAnyTrailingSpace: a fact arriving with a CRLF line
+// ending (a Windows-edited file, a telnet-style client) is the same fact.
+func TestAssertAcceptsAnyTrailingSpace(t *testing.T) {
+	w := New("alice")
+	for _, src := range []string{"p(a)", "p(a).", "p(a).\r\n", "p(a) \t\r\n"} {
+		if err := w.Update(func(tx *Tx) error { return tx.Assert(src) }); err != nil {
+			t.Errorf("Assert(%q): %v", src, err)
+		}
+	}
+	if n := w.Count("p"); n != 1 {
+		t.Errorf("p has %d rows, want 1", n)
+	}
+	if err := w.Update(func(tx *Tx) error { return tx.Retract("p(a).\r\n") }); err != nil {
+		t.Errorf("Retract with CRLF: %v", err)
+	}
+	if n := w.Count("p"); n != 0 {
+		t.Errorf("p has %d rows after retract, want 0", n)
 	}
 }
