@@ -490,11 +490,3 @@ func (s *System) Checkpoint() error {
 	}
 	return s.durable.st.Checkpoint(s.captureSnapshot)
 }
-
-// DataDir returns the store directory, or "" for non-durable systems.
-func (s *System) DataDir() string {
-	if s.durable == nil {
-		return ""
-	}
-	return s.durable.st.Dir()
-}

@@ -7,8 +7,9 @@ import (
 // SetObs attaches one observability bundle to the whole system: the
 // distribution runtime, the durability store (when the system was opened
 // durable), and every principal workspace — including workspaces created
-// after the call, which AddPrincipalOn wires automatically. Passing nil
-// detaches everything.
+// after the call, which AddPrincipalOn wires automatically. Each layer
+// registers reads of its own Stats counters on the registry; those stay
+// registered when a later call passes nil, which detaches the rest.
 func (s *System) SetObs(o *obs.Obs) {
 	s.mu.Lock()
 	s.obs = o

@@ -11,7 +11,6 @@
 package datalog
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -417,13 +416,3 @@ func CompareTuples(a, b Tuple) int {
 func SortTuples(ts []Tuple) {
 	sort.Slice(ts, func(i, j int) bool { return CompareTuples(ts[i], ts[j]) < 0 })
 }
-
-// FormatValue renders a value using surface syntax, e.g. for dumps.
-func FormatValue(v Value) string {
-	if v == nil {
-		return "<nil>"
-	}
-	return v.String()
-}
-
-var _ = fmt.Sprintf // keep fmt imported for debug helpers

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"lbtrust/internal/datalog"
+	"lbtrust/internal/obs"
 )
 
 // The wire format shared by every transport and by the serving layer's
@@ -88,7 +89,10 @@ func DecodeEnvelope(data []byte) (*Envelope, error) {
 		if !ok {
 			return nil, fmt.Errorf("dist: malformed envelope extension %q", f)
 		}
-		if k == "trace" {
+		// A trace ID that is not well formed is dropped like any other
+		// junk field: it would otherwise reach spans, logs, proofs and
+		// rejection records verbatim.
+		if k == "trace" && obs.ValidTraceID(v) {
 			trace = v
 		}
 	}

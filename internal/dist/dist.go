@@ -47,9 +47,11 @@ import (
 // Runtime places principal workspaces on nodes and pumps partitioned
 // tuples between them.
 type Runtime struct {
-	mu        sync.Mutex
-	nodes     map[string]*Node
-	nodeOrder []string
+	mu    sync.Mutex
+	nodes map[string]*Node
+	// nodeList holds the nodes in creation order. It is replaced, never
+	// modified, so /metrics reads walk it without the runtime lock.
+	nodeList  atomic.Pointer[[]*Node]
 	placement map[string]*Node                  // principal -> hosting node
 	wss       map[string]*workspace.Workspace   // principal -> workspace
 	hooked    map[*workspace.Workspace]struct{} // flush hook installed
@@ -71,13 +73,16 @@ type Runtime struct {
 	// journal, when set, observes placements, delivery-map changes,
 	// shipped records, and delivery resets for the durability layer (see
 	// persist.go).
-	journal  func(Event)
-	syncs    int64
-	rounds   int64
-	failures int64 // envelope sends that returned an error
-	delta    int64 // fresh tuples accepted from flush deltas
-	scanned  int64 // tuples examined by pump rounds (deltas + rescans)
-	suppress int64 // tuples skipped by the shipped set
+	journal func(Event)
+
+	// Stats counters, atomic so /metrics reads them without the lock a
+	// Sync holds.
+	syncs    atomic.Int64
+	rounds   atomic.Int64
+	failures atomic.Int64 // envelope sends that returned an error
+	delta    atomic.Int64 // fresh tuples accepted from flush deltas
+	scanned  atomic.Int64 // tuples examined by pump rounds (deltas + rescans)
+	suppress atomic.Int64 // tuples skipped by the shipped set
 
 	// activeTrace is the trace ID of the in-flight traced Sync, stamped
 	// onto every envelope pump builds (guarded by rt.mu). Concurrent
@@ -86,7 +91,9 @@ type Runtime struct {
 	activeTrace string
 
 	// Observability attachments (see SetObs in metrics.go). Stored
-	// atomically because receive paths read them off the runtime lock.
+	// atomically because receive paths read them off the runtime lock;
+	// reg is where SetObs registered the counter reads (guarded by mu).
+	reg        *obs.Registry
 	obsMetrics atomic.Pointer[Metrics]
 	obsLog     atomic.Pointer[slog.Logger]
 	obsTracer  atomic.Pointer[obs.Tracer]
@@ -99,7 +106,7 @@ type Runtime struct {
 
 // NewRuntime creates an empty runtime with no delivery mappings.
 func NewRuntime() *Runtime {
-	return &Runtime{
+	rt := &Runtime{
 		nodes:     map[string]*Node{},
 		placement: map[string]*Node{},
 		wss:       map[string]*workspace.Workspace{},
@@ -113,7 +120,13 @@ func NewRuntime() *Runtime {
 		pending:   map[string]map[string][]datalog.Tuple{},
 		rescan:    map[string]struct{}{},
 	}
+	rt.nodeList.Store(new([]*Node))
+	return rt
 }
+
+// nodesInOrder returns the nodes in creation order (callers must not
+// modify the slice).
+func (rt *Runtime) nodesInOrder() []*Node { return *rt.nodeList.Load() }
 
 // DefaultParkedCap bounds the per-tuple refusal-dedup keys kept for
 // not-yet-placed target principals. Beyond it, refusals are recorded
@@ -165,7 +178,10 @@ func (rt *Runtime) AddNode(name string, ep Endpoint) *Node {
 	}
 	n := &Node{rt: rt, name: name, ep: ep}
 	rt.nodes[name] = n
-	rt.nodeOrder = append(rt.nodeOrder, name)
+	nodes := rt.nodesInOrder()
+	nodes = append(nodes[:len(nodes):len(nodes)], n)
+	rt.nodeList.Store(&nodes)
+	registerWire(rt.reg, rt, transportKind(ep))
 	ep.SetReceiver(func(env *Envelope) error { return rt.deliver(n, env) })
 	return n
 }
@@ -180,9 +196,11 @@ func (rt *Runtime) Node(name string) (*Node, bool) {
 
 // Nodes returns node names in creation order.
 func (rt *Runtime) Nodes() []string {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return append([]string{}, rt.nodeOrder...)
+	var names []string
+	for _, n := range rt.nodesInOrder() {
+		names = append(names, n.name)
+	}
+	return names
 }
 
 // SetDeliveryMap routes tuples of a partitioned source predicate into a
@@ -298,17 +316,12 @@ func (rt *Runtime) noteFlush(principal string, d workspace.FlushDelta) {
 					fresh = map[string][]datalog.Tuple{}
 				}
 				fresh[src] = tuples
-				rt.delta += int64(len(tuples))
 				accepted += int64(len(tuples))
 			}
 		}
 	}
 	rt.mu.Unlock()
-	if accepted > 0 {
-		if m := rt.obsMetrics.Load(); m != nil {
-			m.deltaTuples.Add(accepted)
-		}
-	}
+	rt.delta.Add(accepted)
 	if rescan {
 		rt.markRescan(principal)
 		return
@@ -376,12 +389,11 @@ func (rt *Runtime) SyncTraced(maxRounds int, trace obs.TraceID) error {
 	m := rt.obsMetrics.Load()
 	var start time.Time
 	if m != nil {
-		m.syncs.Inc()
 		start = time.Now()
 	}
 	span := rt.obsTracer.Load().StartSpan(trace, "", "dist.sync", "")
+	rt.syncs.Add(1)
 	rt.mu.Lock()
-	rt.syncs++
 	rt.shipped.bump()
 	rt.activeTrace = string(trace)
 	rt.mu.Unlock()
@@ -402,15 +414,10 @@ func (rt *Runtime) SyncTraced(maxRounds int, trace obs.TraceID) error {
 	}()
 	rt.mu.Lock()
 	rt.activeTrace = ""
-	nodes := make([]*Node, 0, len(rt.nodeOrder))
-	for _, name := range rt.nodeOrder {
-		nodes = append(nodes, rt.nodes[name])
-	}
 	rt.mu.Unlock()
 	span.End()
 	if m != nil {
 		m.syncSeconds.Observe(time.Since(start))
-		m.sampleWire(nodes)
 	}
 	return err
 }
@@ -455,9 +462,10 @@ func (rt *Runtime) pump() (bool, error) {
 	// journalShips accumulates the shipped records this round adds, for
 	// the durability journal (emitted once per round, outside the lock).
 	var journalShips []ShipState
-	m := rt.obsMetrics.Load()
+	// scanned and suppressed accumulate per tuple here and reach the
+	// shared counters once per round.
+	var scanned, suppressed int64
 	rt.mu.Lock()
-	scanned0, suppress0 := rt.scanned, rt.suppress
 	trace := rt.activeTrace
 	srcPreds := make([]string, 0, len(rt.delivery))
 	for p := range rt.delivery {
@@ -503,7 +511,7 @@ func (rt *Runtime) pump() (bool, error) {
 			}
 			for _, kt := range tuples {
 				tuple := kt.tuple
-				rt.scanned++
+				scanned++
 				key := shipKey(sender, srcPred, dstPred, kt.key)
 				if _, dup := queued[key]; dup {
 					continue
@@ -514,7 +522,7 @@ func (rt *Runtime) pump() (bool, error) {
 					continue
 				}
 				if rt.shipped.seen(key) {
-					rt.suppress++
+					suppressed++
 					continue
 				}
 				target, ok := tuple.At(0).(datalog.Sym)
@@ -575,12 +583,9 @@ func (rt *Runtime) pump() (bool, error) {
 			}
 		}
 	}
-	scannedD, suppressD := rt.scanned-scanned0, rt.suppress-suppress0
 	rt.mu.Unlock()
-	if m != nil {
-		m.scannedTuples.Add(scannedD)
-		m.suppressedTuples.Add(suppressD)
-	}
+	rt.scanned.Add(scanned)
+	rt.suppress.Add(suppressed)
 
 	if len(order) == 0 {
 		rt.emitShips(journalShips) // unroutable refusals still suppress
@@ -594,9 +599,7 @@ func (rt *Runtime) pump() (bool, error) {
 			// stays counted; the failed envelope and everything after it was
 			// not marked shipped, so requeue those tuples for the next Sync
 			// instead of silently dropping them.
-			rt.mu.Lock()
-			rt.failures++
-			rt.mu.Unlock()
+			rt.failures.Add(1)
 			requeued := int64(0)
 			rt.dirtyMu.Lock()
 			for _, failed := range order[i:] {
@@ -606,8 +609,7 @@ func (rt *Runtime) pump() (bool, error) {
 				}
 			}
 			rt.dirtyMu.Unlock()
-			if m != nil {
-				m.sendFailures.Inc()
+			if m := rt.obsMetrics.Load(); m != nil {
 				m.requeued.Add(requeued)
 			}
 			if log := rt.obsLog.Load(); log != nil {
@@ -620,11 +622,8 @@ func (rt *Runtime) pump() (bool, error) {
 		rt.mu.Lock()
 		if !counted {
 			// A round counts once something actually moved.
-			rt.rounds++
+			rt.rounds.Add(1)
 			counted = true
-			if m != nil {
-				m.rounds.Inc()
-			}
 		}
 		for _, key := range keys[rk] {
 			rt.shipped.add(key, rk.sender, rk.target)
@@ -729,19 +728,16 @@ func (rt *Runtime) ResetDeliveries(target string) {
 func (rt *Runtime) Stats() Stats {
 	rt.mu.Lock()
 	s := Stats{
-		Syncs:            rt.syncs,
-		Rounds:           rt.rounds,
-		SendFailures:     rt.failures,
-		DeltaTuples:      rt.delta,
-		ScannedTuples:    rt.scanned,
-		SuppressedTuples: rt.suppress,
+		Syncs:            rt.syncs.Load(),
+		Rounds:           rt.rounds.Load(),
+		SendFailures:     rt.failures.Load(),
+		DeltaTuples:      rt.delta.Load(),
+		ScannedTuples:    rt.scanned.Load(),
+		SuppressedTuples: rt.suppress.Load(),
 		ShippedRecords:   rt.shipped.len(),
 		ParkedRecords:    rt.parkedLen(),
 	}
-	nodes := make([]*Node, 0, len(rt.nodeOrder))
-	for _, name := range rt.nodeOrder {
-		nodes = append(nodes, rt.nodes[name])
-	}
+	nodes := rt.nodesInOrder()
 	principals := map[string][]string{}
 	for p, n := range rt.placement {
 		principals[n.name] = append(principals[n.name], p)

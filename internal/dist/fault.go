@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"lbtrust/internal/obs"
@@ -58,34 +59,22 @@ type FaultTransport struct {
 	inner Transport
 	plan  FaultPlan
 
-	mu    sync.Mutex
-	rng   *rand.Rand
-	stats FaultStats
-	m     *faultMetrics
+	mu  sync.Mutex // guards rng
+	rng *rand.Rand
+	// counts holds the FaultStats counters, indexed by faultKind (the
+	// faultNone slot counts every Send); atomic so Stats and /metrics
+	// read them without f.mu.
+	counts [faultDelay + 1]atomic.Int64
 }
 
-// faultMetrics mirrors FaultStats onto an obs registry, labeling each
-// injection by kind. Nil disables the mirror.
-type faultMetrics struct {
-	sends                             *obs.Counter
-	drop, failAfter, duplicate, delay *obs.Counter
-}
-
-// SetMetrics mirrors the injected-fault counters onto r (nil r detaches).
+// SetMetrics registers reads of the injected-fault counters on r, which
+// /metrics reports at scrape time (nil r is a no-op).
 func (f *FaultTransport) SetMetrics(r *obs.Registry) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if r == nil {
-		f.m = nil
-		return
-	}
 	const help = "transport faults injected by FaultTransport, by kind"
-	f.m = &faultMetrics{
-		sends:     r.Counter("lb_dist_fault_sends_total", "Send calls observed by FaultTransport"),
-		drop:      r.Counter("lb_dist_fault_injections_total", help, "kind", "drop"),
-		failAfter: r.Counter("lb_dist_fault_injections_total", help, "kind", "fail_after"),
-		duplicate: r.Counter("lb_dist_fault_injections_total", help, "kind", "duplicate"),
-		delay:     r.Counter("lb_dist_fault_injections_total", help, "kind", "delay"),
+	r.CounterFunc("lb_dist_fault_sends_total", "Send calls observed by FaultTransport", f, f.counts[faultNone].Load)
+	labels := [...]string{faultDrop: "drop", faultFailAfter: "fail_after", faultDuplicate: "duplicate", faultDelay: "delay"}
+	for k := faultDrop; k <= faultDelay; k++ {
+		r.CounterFunc("lb_dist_fault_injections_total", help, f, f.counts[k].Load, "kind", labels[k])
 	}
 }
 
@@ -108,9 +97,13 @@ func (f *FaultTransport) Close() error { return f.inner.Close() }
 
 // Stats snapshots the injected-fault counters.
 func (f *FaultTransport) Stats() FaultStats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.stats
+	return FaultStats{
+		Sends:       f.counts[faultNone].Load(),
+		Dropped:     f.counts[faultDrop].Load(),
+		FailedAfter: f.counts[faultFailAfter].Load(),
+		Duplicated:  f.counts[faultDuplicate].Load(),
+		Delayed:     f.counts[faultDelay].Load(),
+	}
 }
 
 type faultKind int
@@ -130,52 +123,25 @@ const (
 func (f *FaultTransport) decide() (faultKind, time.Duration) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.stats.Sends++
-	f.m.sendObserved()
+	f.counts[faultNone].Add(1)
 	x := f.rng.Float64()
 	p := f.plan
+	kind, d := faultNone, time.Duration(0)
 	switch {
 	case x < p.Drop:
-		f.stats.Dropped++
-		f.m.injected(faultDrop)
-		return faultDrop, 0
+		kind = faultDrop
 	case x < p.Drop+p.FailAfter:
-		f.stats.FailedAfter++
-		f.m.injected(faultFailAfter)
-		return faultFailAfter, 0
+		kind = faultFailAfter
 	case x < p.Drop+p.FailAfter+p.Duplicate:
-		f.stats.Duplicated++
-		f.m.injected(faultDuplicate)
-		return faultDuplicate, 0
+		kind = faultDuplicate
 	case x < p.Drop+p.FailAfter+p.Duplicate+p.Delay:
-		f.stats.Delayed++
-		f.m.injected(faultDelay)
-		d := time.Duration(f.rng.Float64() * float64(p.MaxDelay))
-		return faultDelay, d
+		kind = faultDelay
+		d = time.Duration(f.rng.Float64() * float64(p.MaxDelay))
 	}
-	return faultNone, 0
-}
-
-func (m *faultMetrics) sendObserved() {
-	if m != nil {
-		m.sends.Inc()
+	if kind != faultNone {
+		f.counts[kind].Add(1)
 	}
-}
-
-func (m *faultMetrics) injected(k faultKind) {
-	if m == nil {
-		return
-	}
-	switch k {
-	case faultDrop:
-		m.drop.Inc()
-	case faultFailAfter:
-		m.failAfter.Inc()
-	case faultDuplicate:
-		m.duplicate.Inc()
-	case faultDelay:
-		m.delay.Inc()
-	}
+	return kind, d
 }
 
 type faultEndpoint struct {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"lbtrust/internal/datalog"
+	"lbtrust/internal/obs"
 )
 
 // Wire-facing decoders must be robust: truncated or bit-flipped input
@@ -47,6 +48,9 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		}
 		if bytes.HasPrefix(data, []byte("lbtrust/1")) {
 			t.Fatalf("accepted a retired-version envelope: %q", data)
+		}
+		if env.Trace != "" && !obs.ValidTraceID(env.Trace) {
+			t.Fatalf("accepted a malformed trace ID %q", env.Trace)
 		}
 		// Accepted input carries exactly its declared tuples: the header
 		// count equals the number of body lines, with nothing after them.

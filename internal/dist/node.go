@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"lbtrust/internal/datalog"
 	"lbtrust/internal/workspace"
@@ -23,8 +24,12 @@ type Node struct {
 	name string
 	ep   Endpoint
 
+	// nDeliv and nRejected count every delivered and refused tuple
+	// (refusals whose records the cap dropped included); atomic so
+	// /metrics reads them without n.mu.
+	nDeliv, nRejected atomic.Int64
+
 	mu         sync.Mutex
-	nDeliv     int64
 	rejected   []Rejection // ring once at cap; rejStart is the oldest entry
 	rejStart   int
 	rejCap     int // 0 means DefaultRejectionCap
@@ -87,9 +92,7 @@ func (n *Node) SetRejectionCap(cap int) {
 }
 
 func (n *Node) reject(r Rejection) {
-	if m := n.rt.obsMetrics.Load(); m != nil {
-		m.rejectedTuples.Inc()
-	}
+	n.nRejected.Add(1)
 	if log := n.rt.obsLog.Load(); log != nil {
 		log.Debug("delivery rejected", "node", r.Node, "sender", r.Sender,
 			"target", r.Target, "pred", r.Pred, "trace", r.Trace, "error", r.Err)
@@ -120,14 +123,7 @@ func (n *Node) rejectedLocked() []Rejection {
 	return out
 }
 
-func (n *Node) delivered(count int64) {
-	if m := n.rt.obsMetrics.Load(); m != nil {
-		m.deliveredTuples.Add(count)
-	}
-	n.mu.Lock()
-	n.nDeliv += count
-	n.mu.Unlock()
-}
+func (n *Node) delivered(count int64) { n.nDeliv.Add(count) }
 
 // Rejected returns the retained refused deliveries, oldest first. Once
 // the rejection cap is exceeded only the newest records remain (see
@@ -142,15 +138,13 @@ func (n *Node) Rejected() []Rejection {
 // TuplesRejected counts every refusal, including records the cap dropped.
 func (n *Node) Stats() NodeStats {
 	n.mu.Lock()
-	deliv := n.nDeliv
-	rej := int64(len(n.rejected)) + n.rejDropped
 	dropped := n.rejDropped
 	n.mu.Unlock()
 	return NodeStats{
 		Node:              n.name,
 		Transfer:          n.ep.Stats(),
-		TuplesDelivered:   deliv,
-		TuplesRejected:    rej,
+		TuplesDelivered:   n.nDeliv.Load(),
+		TuplesRejected:    n.nRejected.Load(),
 		RejectionsDropped: dropped,
 	}
 }

@@ -96,3 +96,26 @@ func TestDecodeIgnoresUnknownExtensions(t *testing.T) {
 		t.Errorf("want error for non key=value extension field")
 	}
 }
+
+// TestDecodeDropsMalformedTrace: a trace= value that is not a well-formed
+// trace ID is ignored like any other junk field, so a peer cannot plant
+// arbitrary text in spans, logs, proofs or rejection records.
+func TestDecodeDropsMalformedTrace(t *testing.T) {
+	for _, tc := range []struct{ field, want string }{
+		{"trace=0123456789abcdef", "0123456789abcdef"},
+		{"trace=not-a-trace;<script>", ""},
+		{"trace=00ff", ""},
+		{"trace=0123456789ABCDEF", ""},
+		{"trace=0123456789abcdef0", ""},
+		{"trace=", ""},
+		{"trace=0123456789abcdef trace=junk", "0123456789abcdef"},
+	} {
+		dec, err := DecodeEnvelope([]byte("lbtrust/2 n1 n2 alice bob inbox 0 " + tc.field + "\n"))
+		if err != nil {
+			t.Fatalf("%s: decode: %v", tc.field, err)
+		}
+		if dec.Trace != tc.want {
+			t.Errorf("%s: trace = %q, want %q", tc.field, dec.Trace, tc.want)
+		}
+	}
+}

@@ -2,7 +2,7 @@ package dist
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"unicode"
 
 	"lbtrust/internal/datalog"
@@ -104,29 +104,27 @@ func (s TransferStats) String() string {
 		s.MessagesSent, s.BytesSent, s.MessagesReceived, s.BytesReceived)
 }
 
-// statsCounter is the lock-protected TransferStats shared by endpoint
-// implementations.
+// statsCounter is the atomic TransferStats shared by endpoint
+// implementations; /metrics reads it while sends are in flight.
 type statsCounter struct {
-	mu sync.Mutex
-	s  TransferStats
+	msgsSent, msgsRecv, bytesSent, bytesRecv atomic.Int64
 }
 
 func (c *statsCounter) sent(bytes int) {
-	c.mu.Lock()
-	c.s.MessagesSent++
-	c.s.BytesSent += int64(bytes)
-	c.mu.Unlock()
+	c.msgsSent.Add(1)
+	c.bytesSent.Add(int64(bytes))
 }
 
 func (c *statsCounter) received(bytes int) {
-	c.mu.Lock()
-	c.s.MessagesReceived++
-	c.s.BytesReceived += int64(bytes)
-	c.mu.Unlock()
+	c.msgsRecv.Add(1)
+	c.bytesRecv.Add(int64(bytes))
 }
 
 func (c *statsCounter) snapshot() TransferStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.s
+	return TransferStats{
+		MessagesSent:     c.msgsSent.Load(),
+		MessagesReceived: c.msgsRecv.Load(),
+		BytesSent:        c.bytesSent.Load(),
+		BytesReceived:    c.bytesRecv.Load(),
+	}
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"lbtrust/internal/analysis"
+	"lbtrust/internal/core"
 	"lbtrust/internal/datalog"
 	"lbtrust/internal/dist"
 	"lbtrust/internal/obs"
@@ -24,17 +25,20 @@ var update = flag.Bool("update", false, "rewrite the /metrics golden file")
 // fullRegistry registers every metric family the system can expose — one
 // instance of each layer's instrumentation on a single registry, exactly
 // what a freshly started lbtrust-serve -admin-addr exports before any
-// traffic.
+// traffic. The served system has no nodes yet, so the per-transport wire
+// families are absent.
 func fullRegistry(t *testing.T) *obs.Registry {
 	t.Helper()
-	r := obs.NewRegistry()
-	server.NewMetrics(r)
-	workspace.NewMetrics(r)
-	datalog.NewEvalMetrics(r)
-	dist.NewMetrics(r)
-	store.NewMetrics(r)
-	dist.NewFaultTransport(dist.NewMemNetwork(), dist.FaultPlan{}).SetMetrics(r)
-	return r
+	o := &obs.Obs{Registry: obs.NewRegistry()}
+	srv, err := server.Serve(core.NewSystem(), "127.0.0.1:0", server.Options{Obs: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	workspace.New("w").SetObs(o)
+	store.NewMetrics(o.Registry)
+	dist.NewFaultTransport(dist.NewMemNetwork(), dist.FaultPlan{}).SetMetrics(o.Registry)
+	return o.Registry
 }
 
 // TestMetricsGolden pins the full first-scrape /metrics surface: family

@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -214,4 +215,29 @@ func TestAdminServer(t *testing.T) {
 	if code, body := get("/debug/pprof/"); code != 200 || !strings.Contains(body, "goroutine") {
 		t.Fatalf("/debug/pprof/: %d", code)
 	}
+}
+
+// TestCounterFuncSumsOwners: a function-backed child reports the sum of
+// its owners' reads, and registering an owner again replaces its read
+// instead of counting it twice.
+func TestCounterFuncSumsOwners(t *testing.T) {
+	r := NewRegistry()
+	var a, b atomic.Int64
+	a.Store(3)
+	b.Store(4)
+	ownerA, ownerB := new(int), new(int)
+	r.CounterFunc("events_total", "h", ownerA, a.Load, "k", "v")
+	r.CounterFunc("events_total", "h", ownerB, b.Load, "k", "v")
+	r.CounterFunc("events_total", "h", ownerA, a.Load, "k", "v")
+	r.GaugeFunc("level", "h", ownerA, a.Load)
+	a.Add(1)
+	var sb strings.Builder
+	r.WritePrometheus(&sb)
+	for _, want := range []string{"# TYPE events_total counter\n", `events_total{k="v"} 8` + "\n", "# TYPE level gauge\nlevel 4\n"} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("exposition missing %q in:\n%s", want, sb.String())
+		}
+	}
+	var nilReg *Registry
+	nilReg.CounterFunc("x_total", "h", ownerA, a.Load) // no-op, no panic
 }

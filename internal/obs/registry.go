@@ -130,6 +130,24 @@ func (h *Histogram) Sum() time.Duration {
 	return time.Duration(h.sumNS.Load())
 }
 
+// funcMetric is a counter or gauge child whose value is read at scrape
+// time from counters a layer already owns, instead of being incremented
+// beside them. Each owner contributes one read; the child reports the
+// sum over owners, so every workspace of a process feeds one family, and
+// registering an owner again replaces its read rather than adding a
+// second one. Reads must be lock-free (atomic loads): a scrape calls them
+// under the registry lock.
+type funcMetric struct{ reads map[any]func() int64 }
+
+// Value sums the owners' reads.
+func (m *funcMetric) Value() int64 {
+	var sum int64
+	for _, read := range m.reads {
+		sum += read()
+	}
+	return sum
+}
+
 // metric typing for the registry's families.
 const (
 	typeCounter   = "counter"
@@ -241,6 +259,31 @@ func (r *Registry) Histogram(name, help string, labels ...string) *Histogram {
 	}).(*Histogram)
 }
 
+// CounterFunc registers read as owner's contribution to the counter named
+// name with the given labels: scrapes report the sum of every owner's
+// read. Registering the same owner again replaces its read. There is no
+// unregistration; a nil registry ignores the call.
+func (r *Registry) CounterFunc(name, help string, owner any, read func() int64, labels ...string) {
+	r.addFunc(name, help, typeCounter, owner, read, labels)
+}
+
+// GaugeFunc is CounterFunc for a gauge.
+func (r *Registry) GaugeFunc(name, help string, owner any, read func() int64, labels ...string) {
+	r.addFunc(name, help, typeGauge, owner, read, labels)
+}
+
+func (r *Registry) addFunc(name, help, typ string, owner any, read func() int64, labels []string) {
+	if r == nil {
+		return
+	}
+	m := r.child(name, help, typ, labels, func() any {
+		return &funcMetric{reads: map[any]func() int64{}}
+	}).(*funcMetric)
+	r.mu.Lock()
+	m.reads[owner] = read
+	r.mu.Unlock()
+}
+
 // formatFloat renders a float the way Prometheus text format expects.
 func formatFloat(f float64) string {
 	return strconv.FormatFloat(f, 'g', -1, 64)
@@ -272,9 +315,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		sort.Strings(keys)
 		for _, k := range keys {
 			switch m := f.children[k].(type) {
-			case *Counter:
-				fmt.Fprintf(&b, "%s%s %d\n", f.name, braced(k), m.Value())
-			case *Gauge:
+			case interface{ Value() int64 }: // *Counter, *Gauge, *funcMetric
 				fmt.Fprintf(&b, "%s%s %d\n", f.name, braced(k), m.Value())
 			case *Histogram:
 				cum := int64(0)

@@ -13,52 +13,30 @@ import (
 // scrape — a golden-file test relies on that.
 var verbs = []string{"hello", "auth", "query", "explain", "assert", "retract", "say", "sync", "stats"}
 
-// Metrics aggregates server-level observability: per-verb request counts
-// and latency, inflight and session gauges, admission refusals, and
-// limit trips by LB-LIMIT code. A nil *Metrics disables everything;
-// instrumented sites pay one branch.
+// limitCodes indexes Server.limitTrips: every LB-LIMIT code a request can
+// be stopped with, admission refusals (LB-LIMIT-005) included.
+var limitCodes = datalog.LimitCodes()
+
+// Metrics holds the server metrics that have no Stats twin: per-verb
+// request counts and latency, the inflight gauge, and slow queries. A
+// nil *Metrics disables them; instrumented sites pay one branch.
 type Metrics struct {
-	requests   map[string]*obs.Counter
-	reqSeconds map[string]*obs.Histogram
-
-	inflight       *obs.Gauge
-	activeSessions *obs.Gauge
-	sessions       *obs.Counter
-
-	authOK      *obs.Counter
-	authFail    *obs.Counter
-	refused     *obs.Counter
-	overloaded  *obs.Counter
-	idleReaped  *obs.Counter
+	requests    map[string]*obs.Counter
+	reqSeconds  map[string]*obs.Histogram
+	inflight    *obs.Gauge
 	slowQueries *obs.Counter
-
-	limitTrips map[string]*obs.Counter // by LB-LIMIT code
 }
 
-// NewMetrics registers the server metric families on r (nil r returns
-// nil — the disabled configuration).
-func NewMetrics(r *obs.Registry) *Metrics {
-	if r == nil {
-		return nil
-	}
+// newMetrics registers the server metric families on r: the families
+// above, plus reads of the server's own Stats counters, which /metrics
+// reports at scrape time.
+func newMetrics(r *obs.Registry, s *Server) *Metrics {
 	m := &Metrics{
 		requests:   map[string]*obs.Counter{},
 		reqSeconds: map[string]*obs.Histogram{},
 		inflight:   r.Gauge("lb_server_inflight_requests", "requests currently executing"),
-		activeSessions: r.Gauge("lb_server_active_sessions",
-			"connections currently open"),
-		sessions: r.Counter("lb_server_sessions_total", "connections accepted"),
-		authOK:   r.Counter("lb_server_auth_total", "authentication outcomes", "outcome", "ok"),
-		authFail: r.Counter("lb_server_auth_total", "authentication outcomes", "outcome", "fail"),
-		refused: r.Counter("lb_server_refused_total",
-			"requests denied for missing authentication or failed static analysis"),
-		overloaded: r.Counter("lb_server_admission_refusals_total",
-			"requests refused by admission control (LB-LIMIT-005)"),
-		idleReaped: r.Counter("lb_server_idle_reaped_total",
-			"connections closed by the idle deadline"),
 		slowQueries: r.Counter("lb_server_slow_queries_total",
 			"requests slower than the configured slow-query threshold"),
-		limitTrips: map[string]*obs.Counter{},
 	}
 	const reqHelp = "requests handled, by verb"
 	const latHelp = "request handling latency, by verb"
@@ -66,12 +44,24 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		m.requests[v] = r.Counter("lb_server_requests_total", reqHelp, "verb", v)
 		m.reqSeconds[v] = r.Histogram("lb_server_request_seconds", latHelp, "verb", v)
 	}
+
+	r.GaugeFunc("lb_server_active_sessions", "connections currently open", s, s.active.Load)
+	r.CounterFunc("lb_server_sessions_total", "connections accepted", s, s.sessions.Load)
+	r.CounterFunc("lb_server_auth_total", "authentication outcomes", s, s.authOK.Load, "outcome", "ok")
+	r.CounterFunc("lb_server_auth_total", "authentication outcomes", s, s.authFail.Load, "outcome", "fail")
+	r.CounterFunc("lb_server_refused_total",
+		"requests denied for missing authentication or failed static analysis", s, s.refused.Load)
+	r.CounterFunc("lb_server_idle_reaped_total", "connections closed by the idle deadline", s, s.idleReaped.Load)
 	// Every typed resource-limit code gets its child up front, so a code
 	// that never fires still shows a zero series (and the lockstep test
 	// against analysis.Catalog sees the full set).
-	for _, code := range datalog.LimitCodes() {
-		m.limitTrips[code] = r.Counter("lb_server_limit_trips_total",
-			"requests killed by a resource budget, by LB-LIMIT code", "code", code)
+	for i, code := range limitCodes {
+		r.CounterFunc("lb_server_limit_trips_total",
+			"requests killed by a resource budget, by LB-LIMIT code", s, s.limitTrips[i].Load, "code", code)
+		if code == datalog.CodeLimitLoad {
+			r.CounterFunc("lb_server_admission_refusals_total",
+				"requests refused by admission control (LB-LIMIT-005)", s, s.limitTrips[i].Load)
+		}
 	}
 	return m
 }
@@ -92,58 +82,12 @@ func (m *Metrics) observe(verb string, d time.Duration) {
 	m.reqSeconds[verb].Observe(d)
 }
 
-// Nil-safe single-counter mirrors for the Stats counters, so mutation
-// sites stay one line.
-
-func (m *Metrics) authOKInc() {
-	if m != nil {
-		m.authOK.Inc()
-	}
-}
-
-func (m *Metrics) authFailInc() {
-	if m != nil {
-		m.authFail.Inc()
-	}
-}
-
-func (m *Metrics) refusedInc() {
-	if m != nil {
-		m.refused.Inc()
-	}
-}
-
-func (m *Metrics) idleReapedInc() {
-	if m != nil {
-		m.idleReaped.Inc()
-	}
-}
-
-func (m *Metrics) slowQueryInc() {
-	if m != nil {
-		m.slowQueries.Inc()
-	}
-}
-
-func (m *Metrics) sessionStart() {
-	if m != nil {
-		m.sessions.Inc()
-		m.activeSessions.Inc()
-	}
-}
-
-func (m *Metrics) sessionEnd() {
-	if m != nil {
-		m.activeSessions.Dec()
-	}
-}
-
-// limitTrip records one budget-killed request under its LB-LIMIT code.
-func (m *Metrics) limitTrip(code string) {
-	if m == nil {
-		return
-	}
-	if c, ok := m.limitTrips[code]; ok {
-		c.Inc()
+// limitTrip counts one request stopped under an LB-LIMIT code.
+func (s *Server) limitTrip(code string) {
+	for i, c := range limitCodes {
+		if c == code {
+			s.limitTrips[i].Add(1)
+			return
+		}
 	}
 }

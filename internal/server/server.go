@@ -136,12 +136,16 @@ type Server struct {
 	// can drain in-flight work before closing connections.
 	reqWG sync.WaitGroup
 
-	// Counters are typed atomics: Stats() may be hammered concurrently
-	// with every mutation site, and the type makes a torn plain-int64
-	// access impossible to write by accident.
-	sessions, active, authOK, authFail   atomic.Int64
-	queries, writes, syncs, refused      atomic.Int64
-	limitTripped, overloaded, idleReaped atomic.Int64
+	// Counters are typed atomics: Stats() and /metrics scrapes read them
+	// concurrently with every mutation site, and the type makes a torn
+	// plain-int64 access impossible to write by accident.
+	sessions, active, authOK, authFail atomic.Int64
+	queries, writes, syncs, refused    atomic.Int64
+	idleReaped                         atomic.Int64
+	// limitTrips counts requests stopped under each LB-LIMIT code,
+	// indexed like limitCodes: budget trips (Stats.LimitTripped) and
+	// admission refusals (Stats.Overloaded) alike.
+	limitTrips []atomic.Int64
 
 	// Observability (nil when Options.Obs is nil).
 	obs     *obs.Obs
@@ -164,10 +168,13 @@ func Serve(sys *core.System, addr string, opts Options) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: listen %s: %w", addr, err)
 	}
-	s := &Server{sys: sys, opts: opts, ln: ln, conns: map[net.Conn]struct{}{}, perPrin: map[string]int{}}
+	s := &Server{sys: sys, opts: opts, ln: ln, conns: map[net.Conn]struct{}{}, perPrin: map[string]int{},
+		limitTrips: make([]atomic.Int64, len(limitCodes))}
 	if opts.Obs != nil {
 		s.obs = opts.Obs
-		s.metrics = NewMetrics(opts.Obs.Reg())
+		if r := opts.Obs.Reg(); r != nil {
+			s.metrics = newMetrics(r, s)
+		}
 		if opts.Obs.Log != nil {
 			s.log = opts.Obs.Logger("server")
 		}
@@ -216,22 +223,14 @@ func (s *Server) admit(who string) error {
 	s.admitMu.Lock()
 	defer s.admitMu.Unlock()
 	if s.opts.MaxInflight > 0 && s.inflight >= s.opts.MaxInflight {
-		s.overloaded.Add(1)
-		if s.metrics != nil {
-			s.metrics.overloaded.Inc()
-			s.metrics.limitTrip(datalog.CodeLimitLoad)
-		}
+		s.limitTrip(datalog.CodeLimitLoad)
 		return &datalog.LimitError{
 			Code: datalog.CodeLimitLoad,
 			Msg:  fmt.Sprintf("server overloaded: %d requests in flight (limit %d)", s.inflight, s.opts.MaxInflight),
 		}
 	}
 	if s.opts.MaxPerPrincipal > 0 && s.perPrin[who] >= s.opts.MaxPerPrincipal {
-		s.overloaded.Add(1)
-		if s.metrics != nil {
-			s.metrics.overloaded.Inc()
-			s.metrics.limitTrip(datalog.CodeLimitLoad)
-		}
+		s.limitTrip(datalog.CodeLimitLoad)
 		return &datalog.LimitError{
 			Code: datalog.CodeLimitLoad,
 			Msg:  fmt.Sprintf("principal %q at its concurrency limit (%d requests in flight)", who, s.opts.MaxPerPrincipal),
@@ -264,6 +263,14 @@ func (s *Server) System() *core.System { return s.sys }
 // Stats snapshots the server's counters (the served system is not
 // touched beyond its own stats snapshot).
 func (s *Server) Stats() Stats {
+	var tripped, overloaded int64
+	for i, code := range limitCodes {
+		if code == datalog.CodeLimitLoad {
+			overloaded += s.limitTrips[i].Load()
+		} else {
+			tripped += s.limitTrips[i].Load()
+		}
+	}
 	return Stats{
 		Sessions:     s.sessions.Load(),
 		Active:       s.active.Load(),
@@ -273,8 +280,8 @@ func (s *Server) Stats() Stats {
 		Writes:       s.writes.Load(),
 		Syncs:        s.syncs.Load(),
 		Refused:      s.refused.Load(),
-		LimitTripped: s.limitTripped.Load(),
-		Overloaded:   s.overloaded.Load(),
+		LimitTripped: tripped,
+		Overloaded:   overloaded,
 		IdleReaped:   s.idleReaped.Load(),
 		Dist:         s.sys.Stats(),
 	}
@@ -364,7 +371,6 @@ func (s *Server) acceptLoop() {
 		s.mu.Unlock()
 		s.sessions.Add(1)
 		s.active.Add(1)
-		s.metrics.sessionStart()
 		go s.serve(conn)
 	}
 }
@@ -392,7 +398,6 @@ func (s *Server) serve(conn net.Conn) {
 		s.mu.Unlock()
 		conn.Close()
 		s.active.Add(-1)
-		s.metrics.sessionEnd()
 		s.wg.Done()
 	}()
 	if s.log != nil {
@@ -418,7 +423,6 @@ func (s *Server) serve(conn net.Conn) {
 		if err != nil {
 			if isTimeout(err) {
 				s.idleReaped.Add(1)
-				s.metrics.idleReapedInc()
 			}
 			return // EOF, timeout, oversized/mid-frame request, or broken peer
 		}
@@ -429,7 +433,6 @@ func (s *Server) serve(conn net.Conn) {
 		if err := dist.WriteFrame(conn, resp); err != nil {
 			if isTimeout(err) {
 				s.idleReaped.Add(1)
-				s.metrics.idleReapedInc()
 			}
 			return
 		}
@@ -494,7 +497,9 @@ func (s *Server) handle(sess *session, data []byte) []byte {
 		if d := time.Since(start); d >= s.opts.SlowQuery {
 			switch req.verb {
 			case "query", "explain", "assert", "retract", "say", "sync":
-				s.metrics.slowQueryInc()
+				if s.metrics != nil {
+					s.metrics.slowQueries.Inc()
+				}
 				if s.log != nil {
 					who := ""
 					if sess.principal != nil {
@@ -548,7 +553,6 @@ func (s *Server) dispatch(sess *session, req request, trace obs.TraceID, rs *req
 		default: // sync
 			if sess.principal == nil {
 				s.refused.Add(1)
-				s.metrics.refusedInc()
 				return errFrame(fmt.Errorf("server: sync requires an authenticated session"))
 			}
 			s.syncs.Add(1)
@@ -607,14 +611,9 @@ func (s *Server) audit(sess *session, req request, trace obs.TraceID, rs *reqSta
 // evalErrFrame is errFrame plus accounting: evaluation failures caused by
 // a tripped resource budget count in Stats.LimitTripped.
 func (s *Server) evalErrFrame(err error) []byte {
-	if datalog.IsLimit(err) {
-		s.limitTripped.Add(1)
-		if s.metrics != nil {
-			var le *datalog.LimitError
-			if errors.As(err, &le) {
-				s.metrics.limitTrip(le.Code)
-			}
-		}
+	var le *datalog.LimitError
+	if errors.As(err, &le) {
+		s.limitTrip(le.Code)
 	}
 	return errFrame(err)
 }
@@ -627,12 +626,10 @@ func (s *Server) hello(sess *session, principal string) []byte {
 	p, ok := s.sys.Principal(principal)
 	if !ok {
 		s.authFail.Add(1)
-		s.metrics.authFailInc()
 		return errFrame(fmt.Errorf("server: unknown principal %q", principal))
 	}
 	if _, ok := p.Keys().RSAKey(principal); !ok {
 		s.authFail.Add(1)
-		s.metrics.authFailInc()
 		return errFrame(fmt.Errorf("server: principal %q has no established key", principal))
 	}
 	var nonce [32]byte
@@ -653,24 +650,20 @@ func (s *Server) auth(sess *session, sigHex string) []byte {
 	sess.claim, sess.nonce = "", ""
 	if claim == "" {
 		s.authFail.Add(1)
-		s.metrics.authFailInc()
 		return errFrame(fmt.Errorf("server: auth without a pending hello"))
 	}
 	p, ok := s.sys.Principal(claim)
 	if !ok {
 		s.authFail.Add(1)
-		s.metrics.authFailInc()
 		return errFrame(fmt.Errorf("server: unknown principal %q", claim))
 	}
 	key, ok := p.Keys().RSAKey(claim)
 	if !ok || !p.Keys().VerifyRSA(authMessage(nonce), sigHex, &key.PublicKey) {
 		s.authFail.Add(1)
-		s.metrics.authFailInc()
 		return errFrame(fmt.Errorf("server: signature does not prove %q", claim))
 	}
 	sess.principal = p
 	s.authOK.Add(1)
-	s.metrics.authOKInc()
 	return []byte("ok " + claim)
 }
 
@@ -684,7 +677,6 @@ func (s *Server) readPrincipal(sess *session) (*core.Principal, []byte) {
 	}
 	if s.opts.Anonymous == "" {
 		s.refused.Add(1)
-		s.metrics.refusedInc()
 		return nil, errFrame(fmt.Errorf("server: queries require authentication (no anonymous principal configured)"))
 	}
 	anon, ok := s.sys.Principal(s.opts.Anonymous)
@@ -753,7 +745,6 @@ func (s *Server) explain(sess *session, src string, rs *reqStats) []byte {
 func (s *Server) write(sess *session, verb, src string, trace obs.TraceID, rs *reqStats) []byte {
 	if sess.principal == nil {
 		s.refused.Add(1)
-		s.metrics.refusedInc()
 		return errFrame(fmt.Errorf("server: %s requires an authenticated session", verb))
 	}
 	s.writes.Add(1)
@@ -787,7 +778,6 @@ func (s *Server) write(sess *session, verb, src string, trace obs.TraceID, rs *r
 	diags := ws.AnalyzeSource(datalog.EnsureDot(src))
 	if analysis.HasErrors(diags) {
 		s.refused.Add(1)
-		s.metrics.refusedInc()
 		return errFrame(analysis.NewError(diags))
 	}
 	if err := run(func(tx *workspace.Tx) error { return tx.AddRuleSrc(src) }); err != nil {
@@ -806,7 +796,6 @@ func (s *Server) write(sess *session, verb, src string, trace obs.TraceID, rs *r
 func (s *Server) say(sess *session, to, clause string, trace obs.TraceID, rs *reqStats) []byte {
 	if sess.principal == nil {
 		s.refused.Add(1)
-		s.metrics.refusedInc()
 		return errFrame(fmt.Errorf("server: say requires an authenticated session"))
 	}
 	s.writes.Add(1)

@@ -221,9 +221,6 @@ func generations(dir string) ([]uint64, error) {
 	return out, nil
 }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Seq returns the current snapshot/log generation number; Checkpoint
 // increments it.
 func (s *Store) Seq() uint64 {

@@ -226,10 +226,7 @@ func (w *Workspace) checkConstraintsLocked(delta map[string][]datalog.Tuple, can
 		// Fast path: nothing to check — skip compilation, the per-constraint
 		// clear loop, and the evaluator run entirely. constraintsChanged is
 		// left as-is so a later AddConstraint still recompiles.
-		w.checkStats.Skipped++
-		if w.metrics != nil {
-			w.metrics.checkSkipped.Inc()
-		}
+		w.checkSkipped.Add(1)
 		return nil
 	}
 	if w.constraintsChanged {
@@ -246,10 +243,7 @@ func (w *Workspace) checkConstraintsLocked(delta map[string][]datalog.Tuple, can
 		if filtered == nil {
 			// No predicate of the delta occurs in any check-rule body: the
 			// flush cannot have created a violation or a new aux fact.
-			w.checkStats.Skipped++
-			if w.metrics != nil {
-				w.metrics.checkSkipped.Inc()
-			}
+			w.checkSkipped.Add(1)
 			return nil
 		}
 		violations, err := w.runChecksLocked(filtered)
@@ -260,17 +254,11 @@ func (w *Workspace) checkConstraintsLocked(delta map[string][]datalog.Tuple, can
 		case err != nil:
 			return fmt.Errorf("workspace: checking constraints: %w", err)
 		default:
-			w.checkStats.Incremental++
-			if w.metrics != nil {
-				w.metrics.checkIncremental.Inc()
-			}
+			w.checkIncremental.Add(1)
 			return violationError(violations)
 		}
 	}
-	w.checkStats.Full++
-	if w.metrics != nil {
-		w.metrics.checkFull.Inc()
-	}
+	w.checkFull.Add(1)
 	// Full re-evaluation: clear previous check results and recompute from
 	// scratch (fail/aux predicates never feed user rules).
 	for _, cc := range w.constraints {

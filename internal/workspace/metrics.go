@@ -5,16 +5,12 @@ import (
 	"lbtrust/internal/obs"
 )
 
-// Metrics aggregates workspace-level observability: flush latency, which
-// constraint-check path each flush took (mirroring CheckStats), snapshot
-// republication cost, and the evaluator's run/gas/derived counters. A
-// nil *Metrics disables everything; instrumented sites pay one branch.
+// Metrics aggregates workspace-level observability: flush latency,
+// snapshot republication cost, and the evaluator's run/gas/derived
+// counters. A nil *Metrics disables everything; instrumented sites pay
+// one branch.
 type Metrics struct {
 	flushSeconds *obs.Histogram
-
-	checkIncremental *obs.Counter
-	checkFull        *obs.Counter
-	checkSkipped     *obs.Counter
 
 	snapPublishSeconds *obs.Histogram
 	snapRelsCloned     *obs.Counter
@@ -22,18 +18,20 @@ type Metrics struct {
 	eval *datalog.EvalMetrics
 }
 
-// NewMetrics registers the workspace metric families on r (nil r returns
-// nil — the disabled configuration).
-func NewMetrics(r *obs.Registry) *Metrics {
+// newMetrics registers the workspace metric families on r: the families
+// above, plus reads of w's CheckStats counters, which /metrics reports at
+// scrape time summed over every workspace of the registry. Nil r returns
+// nil — the disabled configuration.
+func newMetrics(r *obs.Registry, w *Workspace) *Metrics {
 	if r == nil {
 		return nil
 	}
 	const checkHelp = "flush constraint checks by path taken (incremental delta-seeded, full re-evaluation, or skipped)"
+	r.CounterFunc("lb_workspace_constraint_checks_total", checkHelp, w, w.checkIncremental.Load, "path", "incremental")
+	r.CounterFunc("lb_workspace_constraint_checks_total", checkHelp, w, w.checkFull.Load, "path", "full")
+	r.CounterFunc("lb_workspace_constraint_checks_total", checkHelp, w, w.checkSkipped.Load, "path", "skipped")
 	return &Metrics{
-		flushSeconds:     r.Histogram("lb_workspace_flush_seconds", "transactional flush latency (rule fixpoint, constraint check, journal append)"),
-		checkIncremental: r.Counter("lb_workspace_constraint_checks_total", checkHelp, "path", "incremental"),
-		checkFull:        r.Counter("lb_workspace_constraint_checks_total", checkHelp, "path", "full"),
-		checkSkipped:     r.Counter("lb_workspace_constraint_checks_total", checkHelp, "path", "skipped"),
+		flushSeconds: r.Histogram("lb_workspace_flush_seconds", "transactional flush latency (rule fixpoint, constraint check, journal append)"),
 		snapPublishSeconds: r.Histogram("lb_workspace_snapshot_publish_seconds",
 			"snapshot republication latency (cloning relations stale since the last publication)"),
 		snapRelsCloned: r.Counter("lb_workspace_snapshot_relations_cloned_total",
@@ -53,11 +51,13 @@ func (m *Metrics) evalMetrics() *datalog.EvalMetrics {
 // SetObs attaches observability to the workspace: metrics register on
 // o's registry (shared across workspaces — the families are
 // per-process, not per-principal) and log lines go to a
-// workspace-scoped logger. A nil Obs detaches everything.
+// workspace-scoped logger. A nil Obs detaches the histograms, evaluator
+// counters and logger; the CheckStats reads stay registered on the
+// registry they were first given, as there is no unregistration.
 func (w *Workspace) SetObs(o *obs.Obs) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.metrics = NewMetrics(o.Reg())
+	w.metrics = newMetrics(o.Reg(), w)
 	if o == nil || o.Log == nil {
 		w.log = nil
 	} else {

@@ -151,22 +151,6 @@ func (w *Workspace) ExplainQuery(src string) ([]*provenance.Proof, error) {
 	return proofs, nil
 }
 
-// EngineRules returns the translated rules currently loaded into the
-// user evaluator — the rule set provenance steps reference. Proof
-// verifiers check each step's rule is (textually) one of these.
-func (w *Workspace) EngineRules() []*datalog.Rule {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	var out []*datalog.Rule
-	for _, k := range w.activeOrder {
-		e := w.active[k]
-		if !e.isCheck {
-			out = append(out, e.translated.SplitHeads()...)
-		}
-	}
-	return out
-}
-
 // VerifyProof independently checks a proof returned by Explain, without
 // trusting the provenance store: every interior step must replay under
 // datalog.ReplayDerivation (the instantiated head follows from the rule

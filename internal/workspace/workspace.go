@@ -70,8 +70,10 @@ type Workspace struct {
 	// checkDeps maps each predicate consulted by some check rule to the
 	// labels of the constraints / fail() rules depending on it. A flush
 	// whose delta misses this index entirely needs no check evaluation.
-	checkDeps  map[string][]string
-	checkStats CheckStats
+	checkDeps map[string][]string
+	// checkIncremental, checkFull and checkSkipped are the CheckStats
+	// counters; atomic so /metrics reads them while a flush holds mu.
+	checkIncremental, checkFull, checkSkipped atomic.Int64
 
 	// OnFlush hooks run after a successful flush with the flush's delta;
 	// used by the distribution runtime to ship partitioned tuples without
@@ -323,9 +325,11 @@ func (w *Workspace) Limits() (query, flush datalog.Limits) {
 
 // CheckStats reports how constraint checking resolved the flushes so far.
 func (w *Workspace) CheckStats() CheckStats {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.checkStats
+	return CheckStats{
+		Incremental: w.checkIncremental.Load(),
+		Full:        w.checkFull.Load(),
+		Skipped:     w.checkSkipped.Load(),
+	}
 }
 
 // recordDerived accumulates evaluator insertions into the current flush

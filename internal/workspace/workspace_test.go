@@ -624,3 +624,28 @@ func TestAssertAcceptsAnyTrailingSpace(t *testing.T) {
 		t.Errorf("p has %d rows after retract, want 0", n)
 	}
 }
+
+// TestCheckStatsReadsSumAcrossWorkspaces: the constraint-check family
+// reads every attached workspace's CheckStats at scrape time, summed, and
+// attaching the same workspace twice does not double its share.
+func TestCheckStatsReadsSumAcrossWorkspaces(t *testing.T) {
+	o := &obs.Obs{Registry: obs.NewRegistry()}
+	a, b := New("alice"), New("bob")
+	a.SetObs(o)
+	b.SetObs(o)
+	a.SetObs(o)
+	for _, w := range []*Workspace{a, b, a} {
+		if err := w.Update(func(tx *Tx) error { return tx.Assert("edge(a,b)") }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := a.CheckStats().Skipped + b.CheckStats().Skipped
+	if want != 3 {
+		t.Fatalf("skipped checks = %d, want 3", want)
+	}
+	var sb strings.Builder
+	o.Registry.WritePrometheus(&sb)
+	if line := `lb_workspace_constraint_checks_total{path="skipped"} 3`; !strings.Contains(sb.String(), line) {
+		t.Errorf("exposition missing %q in:\n%s", line, sb.String())
+	}
+}

@@ -238,7 +238,7 @@ type Server = server.Server
 
 // ServerOptions configures Serve (the anonymous-query principal,
 // per-request evaluation budgets, admission control, idle deadlines,
-// and the locked-reads A/B switch the serve benchmark uses).
+// provenance capture, the slow-query threshold, and observability).
 type ServerOptions = server.Options
 
 // Limits bounds what one request may spend during evaluation: gas

@@ -82,6 +82,7 @@ assert_moved 'lb_server_requests_total{verb="sync"}'
 assert_moved 'lb_server_auth_total{outcome="ok"}'
 assert_moved 'lb_workspace_flush_seconds_count'
 assert_moved 'lb_dist_syncs_total'
+assert_moved 'lb_dist_delivered_tuples_total'
 echo "metrics moved with traffic"
 
 # Explain round-trip: bob asks why the greetings hold, and each proof
